@@ -35,6 +35,15 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
+def _is_basic_index(idx):
+    """True if `idx` selects each element at most once: ints (not bools),
+    slices, Ellipsis and None, alone or in a tuple."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(p is None or p is Ellipsis or isinstance(p, slice)
+               or (isinstance(p, (int, np.integer)) and not isinstance(p, bool))
+               for p in parts)
+
+
 class Tensor:
     """Dense array participating in reverse-mode differentiation."""
 
@@ -78,17 +87,22 @@ class Tensor:
             if self.size != 1:
                 raise ValueError("backward() without gradient requires a scalar output")
             grad = np.ones_like(self.data)
-        topo, seen = [], set()
-
-        def visit(t):
-            if id(t) in seen:
-                return
-            seen.add(id(t))
-            for p in t._parents:
-                visit(p)
-            topo.append(t)
-
-        visit(self)
+        # Post-order walk with an explicit stack: the same order as a recursive
+        # depth-first visit of parents in order, without Python's recursion
+        # limit and without a self-referencing closure that would keep the
+        # tape alive in a reference cycle.
+        topo, seen = [], {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            t, parents = stack[-1]
+            for p in parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                stack.pop()
+                topo.append(t)
         self._accum(np.asarray(grad, dtype=self.data.dtype))
         for t in reversed(topo):
             if t._backward is not None and t.grad is not None:
@@ -206,11 +220,15 @@ class Tensor:
 
     def __getitem__(self, idx):
         out = Tensor(self.data[idx], _parents=(self,), op="slice")
+        basic = _is_basic_index(idx)
 
         def bw(g):
             if self.requires_grad:
                 full = np.zeros(self.shape, dtype=DTYPE)
-                np.add.at(full, idx, g)
+                if basic:
+                    full[idx] = g
+                else:
+                    np.add.at(full, idx, g)  # repeated fancy indices accumulate
                 self._accum(full)
         out._backward = bw
         return out
@@ -239,10 +257,11 @@ class Tensor:
 
     def exp(self):
         out = Tensor(np.exp(self.data), _parents=(self,), op="exp")
+        y = out.data  # not `out`: a closure holding its own node is a cycle
 
         def bw(g):
             if self.requires_grad:
-                self._accum(g * out.data)
+                self._accum(g * y)
         out._backward = bw
         return out
 
@@ -257,19 +276,21 @@ class Tensor:
 
     def tanh(self):
         out = Tensor(np.tanh(self.data), _parents=(self,), op="tanh")
+        y = out.data  # not `out`: a closure holding its own node is a cycle
 
         def bw(g):
             if self.requires_grad:
-                self._accum(g * (1.0 - out.data ** 2))
+                self._accum(g * (1.0 - y ** 2))
         out._backward = bw
         return out
 
     def sigmoid(self):
         out = Tensor(1.0 / (1.0 + np.exp(-self.data)), _parents=(self,), op="sigmoid")
+        y = out.data  # not `out`: a closure holding its own node is a cycle
 
         def bw(g):
             if self.requires_grad:
-                self._accum(g * out.data * (1.0 - out.data))
+                self._accum(g * y * (1.0 - y))
         out._backward = bw
         return out
 
@@ -286,7 +307,7 @@ class Tensor:
         """tanh-approximation GELU."""
         c = np.float32(np.sqrt(2.0 / np.pi))
         x = self.data
-        inner = c * (x + 0.044715 * x ** 3)
+        inner = c * (x + 0.044715 * (x * x * x))  # float32 `x ** 3` is slow and value-dependent
         t = np.tanh(inner)
         out = Tensor(0.5 * x * (1.0 + t), _parents=(self,), op="gelu")
 
@@ -390,7 +411,6 @@ def softmax_cross_entropy(logits, labels):
     n_classes = logits.shape[-1]
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError(f"label out of range [0, {n_classes})")
-    scalar_input = labels.ndim == 0 and logits.data.ndim == 1
     flat_logits = logits.data.reshape(-1, n_classes)
     flat_labels = labels.reshape(-1)
     if flat_labels.shape[0] != flat_logits.shape[0]:
@@ -409,7 +429,6 @@ def softmax_cross_entropy(logits, labels):
             p[np.arange(n), flat_labels] -= 1.0
             logits._accum((g * p / n).reshape(logits.shape))
     out._backward = bw
-    _ = scalar_input
     return out
 
 
@@ -422,7 +441,6 @@ def layer_norm(h, gain, bias, eps=1e-5):
     xhat = (x - mu) * inv
     out_data = xhat * gain.data + bias.data
     out = Tensor(out_data, _parents=(h, gain, bias), op="layer_norm")
-    d = x.shape[-1]
 
     def bw(g):
         if gain.requires_grad:
@@ -434,7 +452,6 @@ def layer_norm(h, gain, bias, eps=1e-5):
             dg = gx.mean(axis=-1, keepdims=True)
             dgx = (gx * xhat).mean(axis=-1, keepdims=True)
             h._accum(inv * (gx - dg - xhat * dgx))
-        _ = d
     out._backward = bw
     return out
 

@@ -23,6 +23,7 @@ from .models import ModelConfig, build_model
 from .rng import stream
 from .serialize import load_checkpoint, save_checkpoint
 from .training import (
+    VARIANTS,
     make_config,
     model_checksum,
     pretrain_fdm,
@@ -106,23 +107,20 @@ def cmd_gen(args):
 def cmd_train(args):
     started = round(time.time(), 3)
     config = load_config(args.config) if args.config else {}
-    train_cfg = build_section(config, "train", variant=args.variant, seed=args.seed)
-    if args.variant != train_cfg.variant:
-        raise ConfigError("variant flag contradicts the config file")
+    train_cfg = _train_config(config, args.variant, args.seed)
     dataset = load_dataset(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model = None
-    if "model" in config:
-        model_cfg = build_section(config, "model", d_v=dataset.spec.d_x,
-                                  n_embodiments=dataset.spec.n_embodiments)
-        model = build_model(model_cfg, stream(train_cfg.seed, "model-init"),
-                            with_gtcond=train_cfg.gt_action)
+    model_cfg = build_section(config, "model", d_v=dataset.spec.d_x,
+                              n_embodiments=dataset.spec.n_embodiments)
+    model = build_model(model_cfg, stream(train_cfg.seed, "model-init"),
+                        with_gtcond=train_cfg.gt_action)
     files = []
     init_tensors = None
     if train_cfg.pretrain_fdm:
-        pre_model, _ = pretrain_fdm(dataset, train_cfg,
-                                    log_path=out_dir / "pretrain_log.csv")
+        pre_model = build_model(model_cfg, stream(train_cfg.seed, "model-init"))
+        pretrain_fdm(dataset, train_cfg, model=pre_model,
+                     log_path=out_dir / "pretrain_log.csv")
         init_tensors = pre_model.numpy_params()
         files.append(out_dir / "pretrain_log.csv")
     log_path = out_dir / "log.csv"
@@ -136,6 +134,20 @@ def cmd_train(args):
               args.seed, files, started)
     print(f"train: {args.variant} final L_total {rows[-1]['L_total']:.5f}")
     return 0
+
+
+def _train_config(config, variant, seed):
+    """[train] values over the variant's default loss weights (`make_config`)."""
+    values = dict(config.get("train", {}))
+    if values.pop("variant", variant) != variant:
+        raise ConfigError("variant flag contradicts the config file")
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r} (choose from {sorted(VARIANTS)})")
+    values["seed"] = seed
+    try:
+        return make_config(variant, **values)
+    except ValueError as exc:
+        raise ConfigError(f"[train] {exc}") from exc
 
 
 def cmd_eval(args):

@@ -59,6 +59,7 @@ class DGPSpec:
         self.goal = (self.goal_sign * rng.uniform(-0.15, 0.15, self.d_s)).astype(F32)
         d_state_obs = self.d_x - self.nuisance_dim
         self.P = _injective_matrix(rng, d_state_obs, self.d_s)
+        self.P_pinv = np.linalg.pinv(self.P)  # decode_state runs once per frame
         # nuisance codes: well separated sign patterns in [-0.8, 0.8]
         codes = []
         for e in range(self.n_embodiments):
@@ -166,7 +167,7 @@ def decode_state(x, spec):
     block = obs_state_block(x, spec)
     if spec.squash:
         block = np.arctanh(np.clip(block, -0.999999, 0.999999))
-    return (block @ np.linalg.pinv(spec.P).T).astype(F32)
+    return (block @ spec.P_pinv.T).astype(F32)
 
 
 # ---- frames ----

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -227,3 +229,111 @@ def test_nonfinite_reporting():
     x = Tensor([0.0])
     with pytest.raises(NonFiniteError, match="log"):
         gradcheck(lambda t: t.log().sum(), x)
+
+
+def test_backward_through_deep_chain():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    y = x
+    for _ in range(3000):
+        y = y + 1.0
+    (y * y).sum().backward()
+    np.testing.assert_array_equal(x.grad, [2 * 3001.0, 2 * 3002.0])
+
+
+def _recursive_topo(root):
+    """Reference order: recursive depth-first post-order over parents."""
+    topo, seen = [], set()
+
+    def visit(t):
+        if id(t) in seen:
+            return
+        seen.add(id(t))
+        for p in t._parents:
+            visit(p)
+        topo.append(t)
+
+    visit(root)
+    return topo
+
+
+def test_backward_order_matches_recursive_post_order():
+    a = Tensor([0.5, -1.0], requires_grad=True)
+    b = Tensor([2.0, 0.25], requires_grad=True)
+    s = a + b
+    d = a - b
+    h = (s * d).tanh() + s.exp() * a
+    out = (h * h + d.sigmoid() * s).sum()
+    calls = []
+    for t in _recursive_topo(out):
+        if t._backward is not None:
+            def record(g, t=t, bw=t._backward):
+                calls.append(t)
+                bw(g)
+            t._backward = record
+    out.backward()
+    expected = [t for t in reversed(_recursive_topo(out)) if t._backward is not None]
+    assert [id(t) for t in calls] == [id(t) for t in expected]
+
+
+def test_scar_backward_leaves_no_reference_cycles():
+    from latact.models import ModelConfig, build_model
+    from latact.training import _stack_batch, make_config, total_loss
+    from latact.worldgen import DGPSpec, generate_dataset
+
+    dataset = generate_dataset(0, DGPSpec(T=9), m_target=4, source_count=4)
+    model = build_model(ModelConfig(d_v=dataset.spec.d_x), stream(0, "test-cycles"))
+    batch = _stack_batch(dataset.episodes, list(range(4)), model.cfg.d_a_max)
+    config = make_config("scar-kl-grl")
+    gc.collect()
+    gc.disable()
+    try:
+        loss, _ = total_loss(model, batch, config, stream(0, "test-cycles-noise"))
+        loss.backward()
+        del loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("idx", [
+    1, np.int64(-1), slice(1, 3), (Ellipsis, 2), (None, slice(None), 0),
+    (0, slice(None, None, 2)), (slice(2), Ellipsis, None),
+    [0, 2, 0], np.array([1, 1, 1]), np.array([True, False, True]),
+    (np.array([0, 0]), slice(None)),
+])
+def test_slice_backward_matches_add_at(idx):
+    rng = stream(12, "test-slice")
+    x0 = rng.normal(size=(3, 4, 5)).astype(np.float32)
+    x = Tensor(x0, requires_grad=True)
+    out = x[idx]
+    g = rng.normal(size=out.shape).astype(np.float32)
+    out.backward(g)
+    expected = np.zeros_like(x0)
+    np.add.at(expected, idx, g)
+    np.testing.assert_array_equal(x.grad, expected)
+
+
+def test_fancy_index_with_repeats_accumulates():
+    x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+    x[[0, 0, 2, 0]].sum().backward()
+    np.testing.assert_array_equal(x.grad, [3.0, 0.0, 1.0])
+
+
+def test_gelu_matches_float64_reference():
+    x64 = np.linspace(-6.0, 6.0, 2001)
+    c = np.sqrt(2.0 / np.pi)
+    t = np.tanh(c * (x64 + 0.044715 * x64 ** 3))
+    ref = 0.5 * x64 * (1.0 + t)
+    dref = 0.5 * (1.0 + t) + 0.5 * x64 * (1.0 - t ** 2) * c * (1.0 + 3 * 0.044715 * x64 ** 2)
+
+    x = Tensor(x64.astype(np.float32), requires_grad=True)
+    y = x.gelu()
+    y.sum().backward()
+    assert y.data.dtype == np.float32
+    # a few float32 roundings of values of order |x| <= 6
+    np.testing.assert_allclose(y.data, ref, rtol=1e-6, atol=4e-6)
+    np.testing.assert_allclose(x.grad, dref, rtol=1e-6, atol=4e-6)
+
+    rng = stream(13, "test-gelu")
+    xs = Tensor(rng.normal(scale=2.0, size=(3, 5)).astype(np.float32))
+    assert gradcheck(lambda u: u.gelu().sum(), xs, eps=1e-4) < 1e-5

@@ -5,6 +5,7 @@ import pytest
 
 from latact.cli import main
 from latact.serialize import load_checkpoint
+from latact.training import VARIANTS
 from latact.worldgen import load_dataset
 
 CFG = """
@@ -86,6 +87,45 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "beta" in err
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_every_variant_trains_with_default_weights(self, variant, workdir, tmp_path):
+        cfg = tmp_path / "short.txt"
+        cfg.write_text("[train]\nsteps = 3\n")
+        out = tmp_path / "r"
+        assert main(["train", "--variant", variant, "--config", str(cfg),
+                     "--data", str(workdir / "data" / "dataset.bin"),
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "model.json").read_text())["variant"] == variant
+
+    def test_explicit_zero_weights_stay_valid(self, workdir, tmp_path):
+        cfg = tmp_path / "zeroed.txt"
+        cfg.write_text("[train]\nsteps = 3\nbeta = 0\nlam_adv = 0\n")
+        assert main(["train", "--variant", "gt-action-baseline", "--config", str(cfg),
+                     "--data", str(workdir / "data" / "dataset.bin"),
+                     "--out", str(tmp_path / "r")]) == 0
+
+    def test_pretraining_uses_model_section(self, workdir, tmp_path):
+        cfg = tmp_path / "narrow.txt"
+        cfg.write_text("[model]\nfdm_hidden = 64,64\n"
+                       "[train]\nsteps = 3\npretrain_steps = 3\npretrain_fdm = true\n")
+        out = tmp_path / "r"
+        assert main(["train", "--variant", "scar-kl-grl", "--config", str(cfg),
+                     "--data", str(workdir / "data" / "dataset.bin"),
+                     "--out", str(out)]) == 0
+        assert (out / "pretrain_log.csv").exists()
+        tensors = load_checkpoint(out / "checkpoint.bin")
+        assert tensors["fdm.block0.w"].shape[-1] == 64
+        assert not any(k.startswith("fdm.block2.") for k in tensors)
+
+    def test_variant_key_contradicting_flag_refused(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "other.txt"
+        cfg.write_text("[train]\nvariant = scar-kl\nsteps = 3\n")
+        rc = main(["train", "--variant", "scar-grl", "--config", str(cfg),
+                   "--data", str(workdir / "data" / "dataset.bin"),
+                   "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert "contradicts" in capsys.readouterr().err
 
     def test_unknown_variant_exits_nonzero(self, workdir, tmp_path, capsys):
         rc = main(["train", "--variant", "scar-maximal",
