@@ -26,6 +26,7 @@ from .training import (
     VARIANTS,
     make_config,
     model_checksum,
+    posterior_mean_targets,
     pretrain_fdm,
     train_a2l,
     train_scar,
@@ -64,7 +65,10 @@ def _load_model_dir(path):
     for key, val in cfg_kwargs.items():
         if isinstance(val, list):
             cfg_kwargs[key] = tuple(val)
-    cfg = ModelConfig(**cfg_kwargs)
+    try:
+        cfg = ModelConfig(**cfg_kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path / 'model.json'}: bad model_cfg: {exc}") from exc
     model = build_model(cfg, stream(meta["seed"], "model-init"),
                         with_a2l=meta.get("with_a2l", False),
                         with_gtcond=meta.get("with_gtcond", False))
@@ -254,12 +258,12 @@ def cmd_a2l(args):
 
 
 def _a2l_eval_mse(model, dataset, seed, pointwise=False, n_eval=20):
-    from .models import a2l_predict, idm_infer
+    from .models import a2l_predict
 
     spec = dataset.spec
     errs = []
     for ep in ev.eval_episodes(spec, seed, n_eval, dataset.target_e):
-        target = idm_infer(ep.x.astype(np.float32), model.idm).mu.data
+        target = posterior_mean_targets(model, ep)
         pred = a2l_predict(ep.a, ep.x[: model.cfg.f_hist], model.a2l,
                            pointwise=pointwise).data
         errs.append(float(((pred - target) ** 2).mean()))

@@ -10,7 +10,6 @@ import numpy as np
 from .autodiff import Tensor, softmax_cross_entropy
 from .fitting import fit_logistic_probe, fit_mlp, r2_score
 from .models import (
-    action_cond_sequence,
     cond_sequence,
     idm_infer,
     pad_actions,
@@ -82,8 +81,7 @@ def image_metrics(pred_frames, true_frames):
 
 def _conditioning(model, episode):
     if model.gtcond is not None:
-        a = pad_actions(episode.a, model.cfg.d_a_max)
-        return action_cond_sequence(a, model.gtcond)
+        return cond_sequence(pad_actions(episode.a, model.cfg.d_a_max), model.gtcond)
     post = idm_infer(episode.x.astype(F32), model.idm)
     return cond_sequence(Tensor(post.mu.data), model.idm)
 
@@ -131,12 +129,13 @@ def run_transfer_eval(models, spec, seed, n_episodes=50):
     "token_mse": mean token MSE}}}.
     """
     tasks = {"target": spec, "transfer": transfer_spec(spec)}
+    episodes = {task: eval_episodes(task_spec, seed, n_episodes, 0)
+                for task, task_spec in tasks.items()}
     out = {}
     for name, model in models.items():
         out[name] = {}
         for task, task_spec in tasks.items():
-            episodes = eval_episodes(task_spec, seed, n_episodes, 0)
-            rows, token_mse = evaluate_rollouts(model, episodes, task_spec, seed)
+            rows, token_mse = evaluate_rollouts(model, episodes[task], task_spec, seed)
             out[name][task] = {
                 "rows": rows,
                 "mse": float(np.mean([r.mse for r in rows])),

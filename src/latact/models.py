@@ -8,7 +8,7 @@ through adaptive layer norm, and is trained as a flow-matching velocity
 predictor with per-token noise levels (diffusion forcing).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class ModelConfig:
     disc_hidden: tuple = (32, 32)
     a2l_hidden: tuple = (64, 64)
     a2l_memory: int = 16
-    stride: int = 1            # temporal compression of the conditioning path
     time_width: int = 8
     f_hist: int = 5
     p_clean: float = 0.5
@@ -136,7 +135,7 @@ class IdmParams(_Component):
         self.cfg = cfg
         widths = [2 * cfg.d_v, *cfg.idm_hidden, 2 * cfg.d_z]
         self.mlp = Mlp(MlpSpec(widths, activation="gelu"), rng)
-        self.cond_kernel = CausalConvKernel(cfg.d_z, cfg.d_c, cfg.stride, rng)
+        self.cond_kernel = CausalConvKernel(cfg.d_z, cfg.d_c, rng)
 
     def _named(self):
         named = dict(self.mlp.params())
@@ -207,7 +206,7 @@ class ActionCondParams(_Component):
 
     def __init__(self, cfg, rng):
         self.cfg = cfg
-        self.cond_kernel = CausalConvKernel(cfg.d_a_max, cfg.d_c, cfg.stride, rng)
+        self.cond_kernel = CausalConvKernel(cfg.d_a_max, cfg.d_c, rng)
 
     def _named(self):
         return dict(self.cond_kernel.params())
@@ -267,24 +266,17 @@ def idm_infer(v_seq, idm):
     return LatentActionPosterior(mu=out[..., :d_z], log_sigma=out[..., d_z:])
 
 
-def cond_sequence(z_seq, idm):
-    """Align latent actions to the token timeline: a zero token is placed
-    before z_1 so token f is conditioned only on actions strictly before it,
-    then the causal temporal conv compresses by the configured stride."""
-    if not isinstance(z_seq, Tensor):
-        z_seq = Tensor(np.asarray(z_seq, F32))
-    zero = Tensor(np.zeros((*z_seq.shape[:-2], 1, z_seq.shape[-1]), F32))
-    padded = concat([zero, z_seq], axis=-2)
-    return causal_temporal_conv(padded, idm.cond_kernel)
-
-
-def action_cond_sequence(a_seq, gtcond):
-    """Same alignment for padded raw actions (action-conditioned baseline)."""
-    if not isinstance(a_seq, Tensor):
-        a_seq = Tensor(np.asarray(a_seq, F32))
-    zero = Tensor(np.zeros((*a_seq.shape[:-2], 1, a_seq.shape[-1]), F32))
-    padded = concat([zero, a_seq], axis=-2)
-    return causal_temporal_conv(padded, gtcond.cond_kernel)
+def cond_sequence(seq, component):
+    """Align per-transition inputs to the token timeline: a zero token is
+    placed before the first one so token f is conditioned only on actions
+    strictly before it, then the component's causal temporal conv maps them
+    to conditioning tokens. Serves latent actions (`model.idm`) and padded
+    raw actions (`model.gtcond`) alike."""
+    if not isinstance(seq, Tensor):
+        seq = Tensor(np.asarray(seq, F32))
+    zero = Tensor(np.zeros((*seq.shape[:-2], 1, seq.shape[-1]), F32))
+    padded = concat([zero, seq], axis=-2)
+    return causal_temporal_conv(padded, component.cond_kernel)
 
 
 def pad_actions(a_seq, d_a_max):

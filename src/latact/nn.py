@@ -1,11 +1,11 @@
 """Neural building blocks: MLP stacks, AdaLN modulation, causal temporal
-convolution, sinusoidal time embedding, single-head temporal attention."""
+convolution, sinusoidal time embedding."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, layer_norm, softmax
+from .autodiff import Tensor, concat, layer_norm
 
 
 @dataclass
@@ -56,10 +56,6 @@ class Mlp:
             out[f"{self.name}.l{i}.b"] = b
         return out
 
-    def load(self, tensors):
-        for k, p in self.params().items():
-            p.data[...] = tensors[k]
-
 
 class ModulationWeights:
     """Linear map from a conditioning vector to concatenated (beta, gamma)."""
@@ -90,62 +86,26 @@ def adaln_modulate(h, c, mod):
 
 
 class CausalConvKernel:
-    """Weights for the stride-grouped causal temporal convolution.
+    """Weights for the causal temporal convolution: the first output token
+    reads the first input token through `first`, every later output token
+    reads its own input token through `blk0`."""
 
-    The first output token reads only the first input token through
-    `w_first`; every later output token reads its own stride-length block
-    through `w_block[k]`.
-    """
-
-    def __init__(self, d_in, d_out, stride, rng, name="cconv"):
-        self.stride = stride
+    def __init__(self, d_in, d_out, rng, name="cconv"):
         self.name = name
         self.w_first, self.b_first = init_linear(rng, d_in, d_out)
-        self.w_block = [init_linear(rng, d_in, d_out) for _ in range(stride)]
-
-    @classmethod
-    def identity(cls, d, stride=1):
-        rng = np.random.default_rng(0)
-        k = cls(d, d, stride, rng)
-        k.w_first.data[...] = np.eye(d, dtype=np.float32)
-        for w, b in k.w_block:
-            w.data[...] = np.eye(d, dtype=np.float32)
-            b.data[...] = 0.0
-        k.b_first.data[...] = 0.0
-        return k
+        self.w_blk, self.b_blk = init_linear(rng, d_in, d_out)
 
     def params(self):
-        out = {f"{self.name}.first.w": self.w_first, f"{self.name}.first.b": self.b_first}
-        for i, (w, b) in enumerate(self.w_block):
-            out[f"{self.name}.blk{i}.w"] = w
-            out[f"{self.name}.blk{i}.b"] = b
-        return out
+        return {f"{self.name}.first.w": self.w_first, f"{self.name}.first.b": self.b_first,
+                f"{self.name}.blk0.w": self.w_blk, f"{self.name}.blk0.b": self.b_blk}
 
 
 def causal_temporal_conv(z_seq, kernel):
-    """Map T frame-rate tokens to F = 1 + (T-1)/stride conditioning tokens.
-
-    Token 1 sees only z_1; token f >= 2 sees the block
-    z_{(f-2)s+2 : (f-1)s+1}. No output depends on later inputs.
-    `z_seq`: Tensor of shape (..., T, d_in).
-    """
-    s = kernel.stride
-    if s < 1:
-        raise ValueError("stride must be >= 1")
-    T = z_seq.shape[-2]
-    if (T - 1) % s != 0:
-        raise ValueError(f"(T-1)={T - 1} not divisible by stride {s}")
-    F = 1 + (T - 1) // s
-    outs = [z_seq[..., 0:1, :] @ kernel.w_first + kernel.b_first]
-    for f in range(1, F):
-        start = 1 + (f - 1) * s
-        block = None
-        for k in range(s):
-            w, b = kernel.w_block[k]
-            term = z_seq[..., start + k:start + k + 1, :] @ w + b
-            block = term if block is None else block + term
-        outs.append(block)
-    return concat(outs, axis=-2)
+    """Map T tokens to T conditioning tokens; token f sees only z_f.
+    `z_seq`: Tensor of shape (..., T, d_in)."""
+    first = z_seq[..., :1, :] @ kernel.w_first + kernel.b_first
+    rest = z_seq[..., 1:, :] @ kernel.w_blk + kernel.b_blk
+    return concat([first, rest], axis=-2)
 
 
 def time_embed(tau, width, max_freq=1000.0):
@@ -161,39 +121,3 @@ def time_embed(tau, width, max_freq=1000.0):
     freqs = max_freq ** (k / max(half - 1, 1))
     ang = tau[..., None] * freqs
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1).astype(np.float32)
-
-
-class TemporalAttention:
-    """Single-head self-attention over the time axis of (..., T, d)."""
-
-    def __init__(self, d, rng, name="attn"):
-        self.name = name
-        self.d = d
-        self.wq, _ = init_linear(rng, d, d)
-        self.wk, _ = init_linear(rng, d, d)
-        self.wv, _ = init_linear(rng, d, d)
-        self.wo, _ = init_linear(rng, d, d)
-
-    def __call__(self, x):
-        q = x @ self.wq
-        k = x @ self.wk
-        v = x @ self.wv
-        scores = q @_t(k) * (1.0 / np.sqrt(self.d))
-        attn = softmax(scores, axis=-1)
-        mixed = _bmm(attn, v)
-        return x + mixed @ self.wo
-
-    def params(self):
-        return {f"{self.name}.wq": self.wq, f"{self.name}.wk": self.wk,
-                f"{self.name}.wv": self.wv, f"{self.name}.wo": self.wo}
-
-
-def _t(x):
-    """Transpose of a 2-D tensor for attention score computation."""
-    if len(x.shape) != 2:
-        raise ValueError("temporal attention supports unbatched (T, d) input")
-    return x.transpose(1, 0)
-
-
-def _bmm(a, b):
-    return a @ b

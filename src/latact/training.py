@@ -7,7 +7,6 @@ between the latent and the classifier realizes the minimax.
 """
 
 import csv
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,6 @@ from .autodiff import Tensor, kl_diag_gaussian, softmax_cross_entropy
 from .models import (
     ModelConfig,
     a2l_predict,
-    action_cond_sequence,
     build_model,
     cond_sequence,
     diffusion_forcing_schedule,
@@ -41,8 +39,8 @@ VARIANTS = {
     "gt-action-baseline": {"kl": False, "grl": False, "gt_action": True},
 }
 
-# wall_ms is kept in the in-memory rows but not persisted: written outputs
-# must be byte-identical across reruns of the same (command, config, seed)
+# written outputs must be byte-identical across reruns of the same
+# (command, config, seed), so the log holds no wall-clock column
 LOG_COLUMNS = ["step", "L_total", "L_rec", "L_KL", "L_GRL", "grad_norm"]
 
 
@@ -151,7 +149,7 @@ def total_loss(model, batch, config, rng, step=None):
     cfg = model.cfg
 
     if config.gt_action:
-        c_seq = action_cond_sequence(a, model.gtcond)
+        c_seq = cond_sequence(a, model.gtcond)
         post = None
         z = None
     else:
@@ -213,6 +211,33 @@ def _write_log(log_path, rows):
             writer.writerow(["" if row[c] is None else row[c] for c in LOG_COLUMNS])
 
 
+def _rec_only(loss):
+    value = float(loss.data)
+    return {"L_total": value, "L_rec": value, "L_KL": None, "L_GRL": None}
+
+
+def fit(step_fn, opts, steps, norm_params, log_path=None):
+    """The one training loop. `step_fn(step)` builds the step's graph and
+    returns (loss Tensor, components dict); the gradient norm is taken over
+    `norm_params`. Returns the log rows, also written to `log_path`."""
+    rows = []
+    for step in range(steps):
+        for opt in opts:
+            opt.zero_grad()
+        loss, components = step_fn(step)
+        _check_components(step, components)
+        loss.backward()
+        components["grad_norm"] = _grad_norm(norm_params)
+        for opt in opts:
+            opt.step()
+        components["step"] = step
+        rows.append(components)
+        del loss    # free this step's tape before the next step builds its own
+    if log_path is not None:
+        _write_log(log_path, rows)
+    return rows
+
+
 def _optimizers(model, config):
     opts = [AdamW(model.fdm.params(), lr=config.lr_fdm, wd=config.wd_fdm)]
     if config.gt_action:
@@ -238,27 +263,15 @@ def train_scar(dataset, config, model=None, log_path=None, init_tensors=None):
     if init_tensors is not None:
         model.fdm.load(init_tensors)
     pool = _episode_pool(dataset, config)
-    opts = _optimizers(model, config)
     batch_rng = stream(config.seed, f"train:{config.variant}:batches")
     loss_rng = stream(config.seed, f"train:{config.variant}:noise")
-    rows = []
-    for step in range(config.steps):
-        t0 = time.perf_counter()
+
+    def step_fn(step):
         idx = batch_rng.integers(0, len(pool), config.batch_episodes)
         batch = _stack_batch(pool, idx, model.cfg.d_a_max)
-        for opt in opts:
-            opt.zero_grad()
-        total, components = total_loss(model, batch, config, loss_rng, step=step)
-        _check_components(step, components)
-        total.backward()
-        components["grad_norm"] = _grad_norm(model.params())
-        for opt in opts:
-            opt.step()
-        components["step"] = step
-        components["wall_ms"] = round((time.perf_counter() - t0) * 1e3, 3)
-        rows.append(components)
-    if log_path is not None:
-        _write_log(log_path, rows)
+        return total_loss(model, batch, config, loss_rng, step=step)
+
+    rows = fit(step_fn, _optimizers(model, config), config.steps, model.params(), log_path)
     return model, rows
 
 
@@ -274,9 +287,8 @@ def pretrain_fdm(dataset, config, model=None, log_path=None):
     batch_rng = stream(config.seed, "pretrain:batches")
     loss_rng = stream(config.seed, "pretrain:noise")
     cfg = model.cfg
-    rows = []
-    for step in range(config.pretrain_steps):
-        t0 = time.perf_counter()
+
+    def step_fn(step):
         idx = batch_rng.integers(0, len(pool), config.batch_episodes)
         v, _, _ = _stack_batch(pool, idx, cfg.d_a_max)
         B, T, _ = v.shape
@@ -285,21 +297,12 @@ def pretrain_fdm(dataset, config, model=None, log_path=None):
         epsilon = loss_rng.standard_normal(v.shape).astype(F32)
         fb = make_flow_target(v, epsilon, tau)
         c_zero = Tensor(np.zeros((B, T, cfg.d_c), F32))
-        opt.zero_grad()
         pred = fdm_flow_predict(fb.v_tilde, fb.tau_seq, c_zero, model.fdm,
                                 v_ctx=v[:, cfg.f_hist - 1, :])
         loss = ((pred - Tensor(fb.u_tau)) ** 2).mean()
-        components = {"L_total": float(loss.data), "L_rec": float(loss.data),
-                      "L_KL": None, "L_GRL": None}
-        _check_components(step, components)
-        loss.backward()
-        components["grad_norm"] = _grad_norm(model.fdm.params())
-        opt.step()
-        components["step"] = step
-        components["wall_ms"] = round((time.perf_counter() - t0) * 1e3, 3)
-        rows.append(components)
-    if log_path is not None:
-        _write_log(log_path, rows)
+        return loss, _rec_only(loss)
+
+    rows = fit(step_fn, [opt], config.pretrain_steps, model.fdm.params(), log_path)
     return model, rows
 
 
@@ -327,13 +330,10 @@ def train_a2l(model, dataset, config, pointwise=False, ft=False, log_path=None):
         opts.append(AdamW(model.fdm.params(), lr=config.lr_fdm, wd=config.wd_fdm))
     batch_rng = stream(config.seed, "a2l:batches")
     loss_rng = stream(config.seed, "a2l:noise")
-    rows = []
     batch_n = min(config.batch_episodes, len(pool))
-    for step in range(config.a2l_steps):
-        t0 = time.perf_counter()
+
+    def step_fn(step):
         idx = batch_rng.integers(0, len(pool), batch_n)
-        for opt in opts:
-            opt.zero_grad()
         loss = None
         for i in idx:
             ep = pool[i]
@@ -351,18 +351,9 @@ def train_a2l(model, dataset, config, pointwise=False, ft=False, log_path=None):
                 term = term + ((pred - Tensor(fb.u_tau)) ** 2).mean()
             loss = term if loss is None else loss + term
         loss = loss * (1.0 / batch_n)
-        components = {"L_total": float(loss.data), "L_rec": float(loss.data),
-                      "L_KL": None, "L_GRL": None}
-        _check_components(step, components)
-        loss.backward()
-        components["grad_norm"] = _grad_norm(params)
-        for opt in opts:
-            opt.step()
-        components["step"] = step
-        components["wall_ms"] = round((time.perf_counter() - t0) * 1e3, 3)
-        rows.append(components)
-    if log_path is not None:
-        _write_log(log_path, rows)
+        return loss, _rec_only(loss)
+
+    rows = fit(step_fn, opts, config.a2l_steps, params, log_path)
     return model, rows
 
 

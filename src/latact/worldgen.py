@@ -9,11 +9,12 @@ renderer makes image metrics computable.
 
 import json
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .rng import stream
+from .serialize import read_exact, read_record, write_record
 
 F32 = np.float32
 
@@ -248,6 +249,9 @@ def generate_dataset(seed, spec, target_e=0, m_target=10, source_count=300, T=No
 
 # ---- dataset file I/O ----
 
+_EPISODE_RECORDS = ("x", "a", "u", "s", "meta")
+
+
 def save_dataset(path, dataset):
     """Header (spec hash, counts, dims) + per-episode tensor records."""
     spec = dataset.spec
@@ -266,46 +270,26 @@ def save_dataset(path, dataset):
         fh.write(hb)
         for i, ep in enumerate(dataset.episodes):
             meta = np.array([ep.e, ep.lighting, 1.0 if ep.clipped else 0.0], F32)
-            for name, arr in (("x", ep.x), ("a", ep.a), ("u", ep.u), ("s", ep.s), ("meta", meta)):
-                _write_tensor(fh, f"ep{i:05d}.{name}", arr)
-
-
-def _write_tensor(fh, name, arr):
-    arr = np.asarray(arr, F32)
-    nb = name.encode()
-    fh.write(struct.pack("<H", len(nb)))
-    fh.write(nb)
-    fh.write(struct.pack("<B", arr.ndim))
-    fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    fh.write(arr.astype("<f4").tobytes())
-
-
-def _read_tensor(fh):
-    raw = fh.read(2)
-    if not raw:
-        return None, None
-    (nlen,) = struct.unpack("<H", raw)
-    name = fh.read(nlen).decode()
-    (rank,) = struct.unpack("<B", fh.read(1))
-    shape = struct.unpack(f"<{rank}I", fh.read(4 * rank)) if rank else ()
-    n = int(np.prod(shape)) if shape else 1
-    vals = np.frombuffer(fh.read(4 * n), dtype="<f4").reshape(shape)
-    return name, vals.astype(F32)
+            for name, arr in zip(_EPISODE_RECORDS, (ep.x, ep.a, ep.u, ep.s, meta)):
+                write_record(fh, f"ep{i:05d}.{name}", arr)
 
 
 def load_dataset(path):
     with open(path, "rb") as fh:
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode())
+        (hlen,) = struct.unpack("<I", read_exact(fh, 4, path, "header length"))
+        header = json.loads(read_exact(fh, hlen, path, "header").decode())
         spec = DGPSpec(**header["spec"])
         if spec.spec_hash() != header["spec_hash"]:
-            raise ValueError("dataset header hash mismatch")
+            raise ValueError(f"{path}: dataset header hash mismatch")
         records = {}
         while True:
-            name, vals = _read_tensor(fh)
+            name, vals = read_record(fh, path, len(records))
             if name is None:
                 break
             records[name] = vals
+    n_records = header["n_episodes"] * len(_EPISODE_RECORDS)
+    if len(records) != n_records:
+        raise ValueError(f"{path}: holds {len(records)} records, header promises {n_records}")
     episodes = []
     for i in range(header["n_episodes"]):
         p = f"ep{i:05d}"

@@ -101,7 +101,7 @@ def test_c01_autodiff_gradchecks():
             lambda t: (adaln_modulate(t, c, mod) ** 2).sum(), h, eps=1e-4))
 
     for i in range(100):
-        kern = CausalConvKernel(3, 4, 1, stream(i, "acc-cconv"))
+        kern = CausalConvKernel(3, 4, stream(i, "acc-cconv"))
         z = Tensor(rng.normal(size=(5, 3)).astype(F32))
         worst = max(worst, gradcheck(
             lambda t: (causal_temporal_conv(t, kern) ** 2).sum(), z))

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,15 @@ class TestTrain:
         assert rc == 1
         assert "contradicts" in capsys.readouterr().err
 
+    def test_stride_key_refused(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "stride.txt"
+        cfg.write_text("[model]\nstride = 2\n[train]\nsteps = 3\n")
+        rc = main(["train", "--variant", "scar-kl-grl", "--config", str(cfg),
+                   "--data", str(workdir / "data" / "dataset.bin"),
+                   "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert "stride" in capsys.readouterr().err
+
     def test_unknown_variant_exits_nonzero(self, workdir, tmp_path, capsys):
         rc = main(["train", "--variant", "scar-maximal",
                    "--data", str(workdir / "data" / "dataset.bin"),
@@ -172,6 +182,30 @@ class TestEvalProbe:
                    "--out", str(tmp_path / "lk")])
         assert rc == 1
         assert "0.9" in capsys.readouterr().err
+
+    def test_stale_model_json_names_the_file(self, workdir, tmp_path, capsys):
+        run = tmp_path / "stale"
+        shutil.copytree(workdir / "run", run)
+        meta = json.loads((run / "model.json").read_text())
+        meta["model_cfg"]["stride"] = 1
+        (run / "model.json").write_text(json.dumps(meta))
+        rc = main(["probe", "--checkpoint", str(run),
+                   "--data", str(workdir / "data" / "dataset.bin"),
+                   "--out", str(tmp_path / "pr")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "model.json" in err and "stride" in err
+
+    def test_truncated_checkpoint_names_the_file(self, workdir, tmp_path, capsys):
+        run = tmp_path / "cut"
+        shutil.copytree(workdir / "run", run)
+        ckpt = run / "checkpoint.bin"
+        ckpt.write_bytes(ckpt.read_bytes()[:100])
+        rc = main(["probe", "--checkpoint", str(run),
+                   "--data", str(workdir / "data" / "dataset.bin"),
+                   "--out", str(tmp_path / "pr")])
+        assert rc == 1
+        assert "checkpoint.bin" in capsys.readouterr().err
 
 
 class TestA2l:

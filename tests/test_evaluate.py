@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from latact import evaluate as ev
 from latact.evaluate import (
     LeakageReport,
     action_probe,
@@ -19,7 +20,7 @@ from latact.fitting import fit_mlp
 from latact.models import ModelConfig, build_model
 from latact.rng import stream
 from latact.training import model_checksum
-from latact.worldgen import DGPSpec, generate_dataset, realize_action
+from latact.worldgen import DGPSpec, generate_dataset, generate_episode, realize_action
 
 F32 = np.float32
 
@@ -168,6 +169,19 @@ class TestTransferEval:
             assert len(cell["rows"]) == 2
             assert cell["mse"] == out2["m"][task]["mse"]
             assert -1 <= cell["ssim"] <= 1
+
+    def test_held_out_episodes_generated_once_per_task(self, dataset, model, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return generate_episode(*args, **kwargs)
+        monkeypatch.setattr(ev, "generate_episode", counting)
+        n = 3
+        out = ev.run_transfer_eval({"a": model, "b": model}, dataset.spec, seed=4, n_episodes=n)
+        assert len(calls) == 2 * n
+        for task in ("target", "transfer"):
+            assert out["a"][task] == out["b"][task]
 
     def test_row_count_default(self, dataset, model):
         out = run_transfer_eval({"m": model}, dataset.spec, seed=4, n_episodes=5)

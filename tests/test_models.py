@@ -8,7 +8,6 @@ from latact.autodiff import Tensor, gradcheck, layer_norm
 from latact.models import (
     ModelConfig,
     a2l_predict,
-    action_cond_sequence,
     build_model,
     cond_sequence,
     diffusion_forcing_schedule,
@@ -148,7 +147,7 @@ class TestConditioning:
 
     def test_action_cond_matches_shape(self, cfg, model):
         a = np.zeros((16, cfg.d_a_max), F32)
-        assert action_cond_sequence(a, model.gtcond).shape == (17, cfg.d_c)
+        assert cond_sequence(a, model.gtcond).shape == (17, cfg.d_c)
 
 
 class TestFdm:

@@ -7,7 +7,6 @@ from latact.nn import (
     Mlp,
     MlpSpec,
     ModulationWeights,
-    TemporalAttention,
     adaln_modulate,
     causal_temporal_conv,
     time_embed,
@@ -63,62 +62,76 @@ def _mod_with(mod, w):
     return clone
 
 
+def _per_token_conv(z, kernel):
+    """Reference: token 0 through `first`, every later token through `blk0`,
+    one matmul per token."""
+    outs = [z[..., :1, :] @ kernel.w_first.data + kernel.b_first.data]
+    for f in range(1, z.shape[-2]):
+        outs.append(z[..., f:f + 1, :] @ kernel.w_blk.data + kernel.b_blk.data)
+    return np.concatenate(outs, axis=-2)
+
+
 class TestCausalConv:
-    def test_stride_one_identity(self):
+    def test_identity_weights_pass_tokens_through(self):
         rng = stream(1, "test-cconv")
+        kernel = CausalConvKernel(3, 3, rng)
+        for w, b in ((kernel.w_first, kernel.b_first), (kernel.w_blk, kernel.b_blk)):
+            w.data[...] = np.eye(3, dtype=np.float32)
+            b.data[...] = 0.0
         z = Tensor(rng.normal(size=(5, 3)).astype(np.float32))
-        kernel = CausalConvKernel.identity(3, stride=1)
         out = causal_temporal_conv(z, kernel)
         np.testing.assert_allclose(out.data, z.data, atol=1e-6)
 
-    def test_output_length_matches_alignment(self):
-        rng = stream(2, "test-cconv-len")
-        z = Tensor(rng.normal(size=(49, 4)).astype(np.float32))
-        kernel = CausalConvKernel(4, 6, stride=4, rng=rng)
-        assert causal_temporal_conv(z, kernel).shape == (13, 6)
-
-    def test_divisibility_error(self):
-        rng = stream(3, "x")
-        kernel = CausalConvKernel(4, 6, stride=4, rng=rng)
-        with pytest.raises(ValueError, match="divisible"):
-            causal_temporal_conv(Tensor(np.zeros((48, 4))), kernel)
+    def test_matches_per_token_reference(self):
+        rng = stream(2, "test-cconv-ref")
+        kernel = CausalConvKernel(8, 16, rng)
+        for shape in ((17, 8), (16, 17, 8)):
+            z = rng.normal(size=shape).astype(np.float32)
+            out = causal_temporal_conv(Tensor(z), kernel)
+            assert out.shape == (*shape[:-1], 16)
+            np.testing.assert_array_equal(out.data, _per_token_conv(z, kernel))
 
     def test_causality_by_autodiff(self):
-        # d c_f / d z_j must be zero for every j outside f's receptive field.
+        # d c_f / d z_j is nonzero only for j = f.
         rng = stream(4, "test-cconv-causal")
-        T, stride, d = 9, 4, 3
-        kernel = CausalConvKernel(d, 2, stride=stride, rng=rng)
-        F = 1 + (T - 1) // stride
-        fields = {0: {0}}
-        for f in range(1, F):
-            fields[f] = set(range(1 + (f - 1) * stride, 1 + f * stride))
-        for f in range(F):
+        T, d = 9, 3
+        kernel = CausalConvKernel(d, 2, rng)
+        for f in range(T):
             z = Tensor(rng.normal(size=(T, d)).astype(np.float32), requires_grad=True)
             causal_temporal_conv(z, kernel)[f].sum().backward()
             touched = {j for j in range(T) if np.any(z.grad[j] != 0)}
-            assert touched <= fields[f], f"token {f} leaked outside its field"
+            assert touched == {f}, f"token {f} reads inputs {sorted(touched)}"
 
     def test_perturbation_oracle(self):
-        # Perturbing z_j leaves every c_f whose field ends before j unchanged.
+        # Perturbing z_j changes c_j and leaves every other token bit-identical.
         rng = stream(5, "test-cconv-perturb")
-        T, stride, d = 13, 4, 3
-        kernel = CausalConvKernel(d, 2, stride=stride, rng=rng)
+        T, d = 13, 3
+        kernel = CausalConvKernel(d, 2, rng)
         z0 = rng.normal(size=(T, d)).astype(np.float32)
         base = causal_temporal_conv(Tensor(z0), kernel).data
         j = 6
         z1 = z0.copy()
         z1[j] += 1.0
         out = causal_temporal_conv(Tensor(z1), kernel).data
-        for f in range(out.shape[0]):
-            field_end = 0 if f == 0 else f * stride
-            if field_end < j:
+        for f in range(T):
+            if f == j:
+                assert np.any(out[f] != base[f])
+            else:
                 np.testing.assert_array_equal(out[f], base[f])
 
     def test_gradcheck(self):
         rng = stream(6, "test-cconv-gc")
-        kernel = CausalConvKernel(3, 2, stride=2, rng=rng)
-        z = Tensor(rng.normal(size=(5, 3)).astype(np.float32))
+        kernel = CausalConvKernel(3, 2, rng)
+        z = Tensor(rng.normal(size=(2, 5, 3)).astype(np.float32))
         assert gradcheck(lambda t: (causal_temporal_conv(t, kernel) ** 2).sum(), z, eps=1e-4) < 1e-4
+
+        def with_w_blk(t):
+            clone = CausalConvKernel.__new__(CausalConvKernel)
+            clone.__dict__.update(vars(kernel))
+            clone.w_blk = t
+            return clone
+        assert gradcheck(lambda t: (causal_temporal_conv(z, with_w_blk(t)) ** 2).sum(),
+                         kernel.w_blk, eps=1e-4) < 1e-4
 
 
 class TestTimeEmbed:
@@ -176,14 +189,6 @@ def _mlp_with_w0(mlp, w0):
                 x = act(x)
         return x
     return run
-
-
-def test_temporal_attention_shapes_and_gradcheck():
-    rng = stream(8, "test-attn")
-    attn = TemporalAttention(4, rng)
-    x = Tensor(rng.normal(size=(5, 4)).astype(np.float32))
-    assert attn(x).shape == (5, 4)
-    assert gradcheck(lambda t: (attn(t) ** 2).sum(), x, eps=1e-4) < 1e-4
 
 
 def test_init_bounds():

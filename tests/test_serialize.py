@@ -1,4 +1,7 @@
+import os
+
 import numpy as np
+import pytest
 
 from latact.rng import stream
 from latact.serialize import MAGIC, checksum, load_checkpoint, save_checkpoint
@@ -53,3 +56,21 @@ def test_bad_magic_rejected(tmp_path):
         assert "magic" in str(e)
     else:
         raise AssertionError("bad magic accepted")
+
+
+def test_truncated_checkpoint_names_the_file(tmp_path):
+    cut = tmp_path / "cut.bin"
+    save_checkpoint(cut, {"idm.w": np.ones((2, 3), np.float32),
+                          "scalar": np.float32(1.5)})
+    for n in reversed(range(cut.stat().st_size)):
+        os.truncate(cut, n)
+        with pytest.raises(ValueError, match="cut.bin"):
+            load_checkpoint(cut)
+
+
+def test_truncated_record_names_index_and_name(tmp_path):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, {"a": np.zeros(2, np.float32), "b": np.ones((4, 4), np.float32)})
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(ValueError, match=r"record 1 \(b\) values"):
+        load_checkpoint(path)

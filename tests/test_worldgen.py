@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -192,6 +194,15 @@ class TestEpisodes:
             np.testing.assert_array_equal(a.x, b.x)
             np.testing.assert_array_equal(a.u, b.u)
             assert a.e == b.e
+
+    def test_truncated_dataset_names_the_file(self, tmp_path):
+        ds = generate_dataset(0, DGPSpec(T=3, n_embodiments=2), m_target=1, source_count=1)
+        cut = tmp_path / "cut.bin"
+        save_dataset(cut, ds)
+        for n in reversed(range(cut.stat().st_size)):
+            os.truncate(cut, n)
+            with pytest.raises(ValueError, match="cut.bin"):
+                load_dataset(cut)
 
     def test_dataset_save_deterministic(self, tmp_path, spec):
         ds = generate_dataset(5, spec, m_target=2, source_count=2)
