@@ -204,17 +204,6 @@ class Tensor:
         out._backward = bw
         return out
 
-    def transpose(self, *axes):
-        axes = axes or None
-        out = Tensor(self.data.transpose(axes), _parents=(self,), op="transpose")
-        inv = np.argsort(axes) if axes else None
-
-        def bw(g):
-            if self.requires_grad:
-                self._accum(g.transpose(inv))
-        out._backward = bw
-        return out
-
     def __getitem__(self, idx):
         out = Tensor(self.data[idx], _parents=(self,), op="slice")
         basic = _is_basic_index(idx)
@@ -281,25 +270,6 @@ class Tensor:
         out._backward = bw
         return out
 
-    def sigmoid(self):
-        out = Tensor(1.0 / (1.0 + np.exp(-self.data)), _parents=(self,), op="sigmoid")
-        y = out.data  # not `out`: a closure holding its own node is a cycle
-
-        def bw(g):
-            if self.requires_grad:
-                self._accum(g * y * (1.0 - y))
-        out._backward = bw
-        return out
-
-    def relu(self):
-        out = Tensor(np.maximum(self.data, 0.0), _parents=(self,), op="relu")
-
-        def bw(g):
-            if self.requires_grad:
-                self._accum(g * (self.data > 0))
-        out._backward = bw
-        return out
-
     def gelu(self):
         """tanh-approximation GELU."""
         c = np.float32(np.sqrt(2.0 / np.pi))
@@ -315,9 +285,6 @@ class Tensor:
                 self._accum(g * d)
         out._backward = bw
         return out
-
-    def sqrt(self):
-        return self ** 0.5
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op}, grad={'set' if self.grad is not None else 'unset'})"
@@ -337,17 +304,6 @@ def concat(tensors, axis=0):
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(a, b)
                 t._accum(g[tuple(sl)])
-    out._backward = bw
-    return out
-
-
-def stack(tensors, axis=0):
-    out = Tensor(np.stack([t.data for t in tensors], axis=axis), _parents=tuple(tensors), op="stack")
-
-    def bw(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t._accum(np.take(g, i, axis=axis))
     out._backward = bw
     return out
 
@@ -382,20 +338,6 @@ def kl_diag_gaussian(mu, sigma):
         raise ValueError(f"sigma must be strictly positive; offending flat index {int(bad[0])}")
     s2 = sigma * sigma
     return ((mu * mu + s2 - 1.0 - s2.log()).sum()) * 0.5
-
-
-def softmax(logits, axis=-1):
-    m = logits.data.max(axis=axis, keepdims=True)
-    e = np.exp(logits.data - m)
-    p = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(p, _parents=(logits,), op="softmax")
-
-    def bw(g):
-        if logits.requires_grad:
-            dot = (g * p).sum(axis=axis, keepdims=True)
-            logits._accum(p * (g - dot))
-    out._backward = bw
-    return out
 
 
 def softmax_cross_entropy(logits, labels):

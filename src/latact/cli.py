@@ -120,16 +120,12 @@ def cmd_train(args):
     model = build_model(model_cfg, stream(train_cfg.seed, "model-init"),
                         with_gtcond=train_cfg.gt_action)
     files = []
-    init_tensors = None
     if train_cfg.pretrain_fdm:
-        pre_model = build_model(model_cfg, stream(train_cfg.seed, "model-init"))
-        pretrain_fdm(dataset, train_cfg, model=pre_model,
+        pretrain_fdm(dataset, train_cfg, model=model,
                      log_path=out_dir / "pretrain_log.csv")
-        init_tensors = pre_model.numpy_params()
         files.append(out_dir / "pretrain_log.csv")
     log_path = out_dir / "log.csv"
-    model, rows = train_scar(dataset, train_cfg, model=model, log_path=log_path,
-                             init_tensors=init_tensors)
+    model, rows = train_scar(dataset, train_cfg, model=model, log_path=log_path)
     files.append(log_path)
     files += _save_model_dir(out_dir, model,
                              {"variant": train_cfg.variant, "seed": train_cfg.seed,

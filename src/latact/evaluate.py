@@ -88,7 +88,7 @@ def _conditioning(model, episode):
 
 def rollout_episode(model, episode, rng, c_seq=None):
     """Predict the episode's future tokens from its context block,
-    conditioned on latents inferred from the full ground-truth episode."""
+    conditioned on `c_seq`, by default the episode's own conditioning."""
     if c_seq is None:
         c_seq = _conditioning(model, episode)
     f_hist = model.cfg.f_hist
@@ -219,8 +219,9 @@ def train_frame_classifier(dataset, seed=0, steps=3000, lr=1e-2, frames_per_epis
 
 
 def leakage_rollouts(model, dataset, seed, pairs_per_source=10):
-    """Cross-conditioned rollouts: latents inferred from a source-embodiment
-    episode drive generation from a target-embodiment context."""
+    """Cross-conditioned rollouts: the conditioning of a source-embodiment
+    episode (its inferred latents, or its raw actions for a raw-action
+    checkpoint) drives generation from a target-embodiment context."""
     spec = dataset.spec
     target_e = dataset.target_e
     sources = [e for e in spec.embodiments if e != target_e]
@@ -229,11 +230,8 @@ def leakage_rollouts(model, dataset, seed, pairs_per_source=10):
         for i in range(pairs_per_source):
             src = generate_episode(seed, e_s, spec.T, spec, index=20_000 + i)
             tgt = generate_episode(seed, target_e, spec.T, spec, index=30_000 + i)
-            post = idm_infer(src.x.astype(F32), model.idm)
-            c_seq = cond_sequence(Tensor(post.mu.data), model.idm)
-            rng = stream(seed, f"leak:{e_s}:{i}")
-            pred = rollout_generate(tgt.x[: model.cfg.f_hist].astype(F32),
-                                    c_seq, model.fdm, rng)
+            pred = rollout_episode(model, tgt, stream(seed, f"leak:{e_s}:{i}"),
+                                   c_seq=_conditioning(model, src))
             frames = frames_from_obs_seq(pred[model.cfg.f_hist:], spec)
             rollouts.append((frames, e_s, target_e))
     return rollouts

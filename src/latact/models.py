@@ -77,7 +77,7 @@ class FlowBatch:
     u_tau: np.ndarray
 
 
-def make_flow_target(v, epsilon, tau_seq, schedule=linear_schedule):
+def make_flow_target(v, epsilon, tau_seq):
     """Noise the clean sequence and form the velocity target.
 
     v_tilde = (1 - sigma_tau) v + sigma_tau eps, u_tau = eps - v.
@@ -91,7 +91,7 @@ def make_flow_target(v, epsilon, tau_seq, schedule=linear_schedule):
         raise ValueError("tau_seq must hold one noise level per token")
     if tau_seq.min() < 0 or tau_seq.max() > 1:
         raise ValueError("tau values must lie in [0, 1]")
-    sigma = np.asarray(schedule(tau_seq), F32)[..., None]
+    sigma = linear_schedule(tau_seq)[..., None]
     v_tilde = (1.0 - sigma) * v + sigma * epsilon
     return FlowBatch(v=v, epsilon=epsilon, tau_seq=tau_seq,
                      v_tilde=v_tilde.astype(F32), u_tau=(epsilon - v).astype(F32))
@@ -321,7 +321,7 @@ def fdm_flow_predict(v_tilde, tau_seq, c_seq, fdm, v_ctx=None):
     return h @ fdm.w_out + fdm.b_out
 
 
-def rollout_generate(context, c_seq, fdm, rng, n_steps=None, schedule=linear_schedule):
+def rollout_generate(context, c_seq, fdm, rng, n_steps=None):
     """Euler-integrate the flow from tau=1 to tau=0 over the future tokens,
     clamping the context block to its clean values at every step."""
     if n_steps is None:
@@ -330,7 +330,7 @@ def rollout_generate(context, c_seq, fdm, rng, n_steps=None, schedule=linear_sch
         raise ValueError("n_steps must be >= 1")
     context = np.asarray(context, F32)
     f_hist = context.shape[0]
-    F = c_seq.shape[0] if not isinstance(c_seq, Tensor) else c_seq.shape[0]
+    F = c_seq.shape[0]
     if f_hist >= F:
         raise ValueError("context covers the whole horizon; nothing to generate")
     cur = np.concatenate(
@@ -359,18 +359,20 @@ def a2l_predict(a_seq, context, a2l, pointwise=False):
 
     The context tokens are encoded and mean-pooled into a memory vector that
     is broadcast to every decoding step; the pointwise variant zeroes the
-    memory so the comparison isolates context, not capacity.
+    memory so the comparison isolates context, not capacity. Accepts
+    (T, d_a) actions with (F, d_v) context, or any leading batch shape
+    shared by both.
     """
-    a_seq = np.asarray(a_seq, F32)
-    if a_seq.shape[0] == 0:
-        return Tensor(np.zeros((0, a2l.cfg.d_z), F32))
     a_pad = pad_actions(a_seq, a2l.cfg.d_a_max)
+    lead, n = a_pad.shape[:-2], a_pad.shape[-2]
+    if n == 0:
+        return Tensor(np.zeros((*lead, 0, a2l.cfg.d_z), F32))
     if pointwise:
-        memory = Tensor(np.zeros((1, a2l.cfg.a2l_memory), F32))
+        memory = Tensor(np.zeros((*lead, 1, a2l.cfg.a2l_memory), F32))
     else:
         context = np.asarray(context, F32)
-        if context.shape[0] == 0:
+        if context.shape[-2] == 0:
             raise ValueError("sequence variant needs a nonempty context")
-        memory = a2l.encoder(Tensor(context)).mean(axis=0).reshape(1, -1)
-    mem_rows = concat([memory] * a_pad.shape[0], axis=0)
-    return a2l.decoder(concat([Tensor(a_pad), mem_rows], axis=1))
+        memory = a2l.encoder(Tensor(context)).mean(axis=-2, keepdims=True)
+    mem_rows = concat([memory] * n, axis=-2)
+    return a2l.decoder(concat([Tensor(a_pad), mem_rows], axis=-1))

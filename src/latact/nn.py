@@ -12,7 +12,6 @@ from .autodiff import Tensor, concat, layer_norm
 class MlpSpec:
     widths: list            # input width first, output width last
     activation: str = "tanh"
-    init_scale: float = 1.0
 
     def __post_init__(self):
         if len(self.widths) < 2:
@@ -23,9 +22,9 @@ class MlpSpec:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
-def init_linear(rng, fan_in, fan_out, scale=1.0):
-    """Uniform in +-scale/sqrt(fan_in)."""
-    bound = scale / np.sqrt(fan_in)
+def init_linear(rng, fan_in, fan_out):
+    """Uniform in +-1/sqrt(fan_in)."""
+    bound = 1.0 / np.sqrt(fan_in)
     w = rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(np.float32)
     b = np.zeros(fan_out, dtype=np.float32)
     return Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
@@ -34,12 +33,10 @@ def init_linear(rng, fan_in, fan_out, scale=1.0):
 class Mlp:
     """Plain MLP; activation on all but the final layer."""
 
-    def __init__(self, spec, rng, name="mlp"):
+    def __init__(self, spec, rng):
         self.spec = spec
-        self.name = name
-        self.layers = []
-        for i, (a, b) in enumerate(zip(spec.widths[:-1], spec.widths[1:])):
-            self.layers.append(init_linear(rng, a, b, spec.init_scale))
+        self.layers = [init_linear(rng, a, b)
+                       for a, b in zip(spec.widths[:-1], spec.widths[1:])]
 
     def __call__(self, x):
         act = Tensor.tanh if self.spec.activation == "tanh" else Tensor.gelu
@@ -52,21 +49,17 @@ class Mlp:
     def params(self):
         out = {}
         for i, (w, b) in enumerate(self.layers):
-            out[f"{self.name}.l{i}.w"] = w
-            out[f"{self.name}.l{i}.b"] = b
+            out[f"mlp.l{i}.w"] = w
+            out[f"mlp.l{i}.b"] = b
         return out
 
 
 class ModulationWeights:
     """Linear map from a conditioning vector to concatenated (beta, gamma)."""
 
-    def __init__(self, cond_width, hidden_width, rng, name="mod"):
+    def __init__(self, cond_width, hidden_width, rng):
         self.hidden_width = hidden_width
-        self.name = name
         self.w, self.b = init_linear(rng, cond_width, 2 * hidden_width)
-
-    def params(self):
-        return {f"{self.name}.w": self.w, f"{self.name}.b": self.b}
 
 
 def adaln_modulate(h, c, mod):
@@ -90,14 +83,13 @@ class CausalConvKernel:
     reads the first input token through `first`, every later output token
     reads its own input token through `blk0`."""
 
-    def __init__(self, d_in, d_out, rng, name="cconv"):
-        self.name = name
+    def __init__(self, d_in, d_out, rng):
         self.w_first, self.b_first = init_linear(rng, d_in, d_out)
         self.w_blk, self.b_blk = init_linear(rng, d_in, d_out)
 
     def params(self):
-        return {f"{self.name}.first.w": self.w_first, f"{self.name}.first.b": self.b_first,
-                f"{self.name}.blk0.w": self.w_blk, f"{self.name}.blk0.b": self.b_blk}
+        return {"cconv.first.w": self.w_first, "cconv.first.b": self.b_first,
+                "cconv.blk0.w": self.w_blk, "cconv.blk0.b": self.b_blk}
 
 
 def causal_temporal_conv(z_seq, kernel):

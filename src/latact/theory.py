@@ -14,7 +14,6 @@ import numpy as np
 
 from .autodiff import Tensor, grl, softmax_cross_entropy
 from .fitting import (
-    energy_distance,
     energy_permutation_test,
     fit_linear,
     fit_mlp,

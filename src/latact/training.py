@@ -135,6 +135,24 @@ def _stack_batch(pool, idx, d_a_max):
     return v, a, e
 
 
+def flow_loss(v, c_seq, fdm, rng):
+    """Flow-matching loss under diffusion forcing on a (B, T, d_v) batch.
+
+    Draws one noise-level schedule per episode, then one noise array for the
+    whole batch, and predicts the flow velocity with the last history token
+    as clean context; returns the mean squared error to the target velocity.
+    """
+    B, T, _ = v.shape
+    cfg = fdm.cfg
+    tau = np.stack([diffusion_forcing_schedule(T, cfg.f_hist, cfg.p_clean, rng)
+                    for _ in range(B)])
+    epsilon = rng.standard_normal(v.shape).astype(F32)
+    fb = make_flow_target(v, epsilon, tau)
+    pred = fdm_flow_predict(fb.v_tilde, fb.tau_seq, c_seq, fdm,
+                            v_ctx=v[:, cfg.f_hist - 1, :])
+    return ((pred - Tensor(fb.u_tau)) ** 2).mean()
+
+
 def total_loss(model, batch, config, rng, step=None):
     """(L_total, components). Components are floats; inactive terms are None.
 
@@ -146,7 +164,6 @@ def total_loss(model, batch, config, rng, step=None):
     """
     v, a, e = batch
     B, T, _ = v.shape
-    cfg = model.cfg
 
     if config.gt_action:
         c_seq = cond_sequence(a, model.gtcond)
@@ -157,13 +174,7 @@ def total_loss(model, batch, config, rng, step=None):
         z = post.sample(rng)
         c_seq = cond_sequence(z, model.idm)
 
-    tau = np.stack([diffusion_forcing_schedule(T, cfg.f_hist, cfg.p_clean, rng)
-                    for _ in range(B)])
-    epsilon = rng.standard_normal(v.shape).astype(F32)
-    fb = make_flow_target(v, epsilon, tau)
-    v_ctx = v[:, cfg.f_hist - 1, :]
-    pred = fdm_flow_predict(fb.v_tilde, fb.tau_seq, c_seq, model.fdm, v_ctx=v_ctx)
-    l_rec = ((pred - Tensor(fb.u_tau)) ** 2).mean()
+    l_rec = flow_loss(v, c_seq, model.fdm, rng)
     total = l_rec
     components = {"L_rec": float(l_rec.data), "L_KL": None, "L_GRL": None}
 
@@ -249,19 +260,14 @@ def _optimizers(model, config):
     return opts
 
 
-def train_scar(dataset, config, model=None, log_path=None, init_tensors=None):
-    """Train one variant; returns (model, log rows).
-
-    `init_tensors` seeds matching components from a checkpoint (used to start
-    from a pretrained forward model).
-    """
+def train_scar(dataset, config, model=None, log_path=None):
+    """Train one variant; returns (model, log rows). Pass the model that
+    `pretrain_fdm` returned to start from a pretrained forward model."""
     cfg_model = ModelConfig(d_v=dataset.spec.d_x,
                             n_embodiments=dataset.spec.n_embodiments)
     if model is None:
         model = build_model(cfg_model, stream(config.seed, "model-init"),
                             with_gtcond=config.gt_action)
-    if init_tensors is not None:
-        model.fdm.load(init_tensors)
     pool = _episode_pool(dataset, config)
     batch_rng = stream(config.seed, f"train:{config.variant}:batches")
     loss_rng = stream(config.seed, f"train:{config.variant}:noise")
@@ -291,15 +297,8 @@ def pretrain_fdm(dataset, config, model=None, log_path=None):
     def step_fn(step):
         idx = batch_rng.integers(0, len(pool), config.batch_episodes)
         v, _, _ = _stack_batch(pool, idx, cfg.d_a_max)
-        B, T, _ = v.shape
-        tau = np.stack([diffusion_forcing_schedule(T, cfg.f_hist, cfg.p_clean, loss_rng)
-                        for _ in range(B)])
-        epsilon = loss_rng.standard_normal(v.shape).astype(F32)
-        fb = make_flow_target(v, epsilon, tau)
-        c_zero = Tensor(np.zeros((B, T, cfg.d_c), F32))
-        pred = fdm_flow_predict(fb.v_tilde, fb.tau_seq, c_zero, model.fdm,
-                                v_ctx=v[:, cfg.f_hist - 1, :])
-        loss = ((pred - Tensor(fb.u_tau)) ** 2).mean()
+        c_zero = Tensor(np.zeros((*v.shape[:-1], cfg.d_c), F32))
+        loss = flow_loss(v, c_zero, model.fdm, loss_rng)
         return loss, _rec_only(loss)
 
     rows = fit(step_fn, [opt], config.pretrain_steps, model.fdm.params(), log_path)
@@ -323,7 +322,7 @@ def train_a2l(model, dataset, config, pointwise=False, ft=False, log_path=None):
     pool = [ep for ep in dataset.episodes if ep.e == dataset.target_e]
     if not pool:
         raise ValueError("no target-embodiment episodes for A2L training")
-    targets = [posterior_mean_targets(model, ep) for ep in pool]
+    targets = np.stack([posterior_mean_targets(model, ep) for ep in pool])
     params = model.a2l.params()
     opts = [AdamW(params, lr=config.lr_a2l)]
     if ft:
@@ -334,23 +333,11 @@ def train_a2l(model, dataset, config, pointwise=False, ft=False, log_path=None):
 
     def step_fn(step):
         idx = batch_rng.integers(0, len(pool), batch_n)
-        loss = None
-        for i in idx:
-            ep = pool[i]
-            z_hat = a2l_predict(ep.a, ep.x[: cfg.f_hist], model.a2l,
-                                pointwise=pointwise)
-            term = ((z_hat - Tensor(targets[i])) ** 2).mean()
-            if ft:
-                T = ep.x.shape[0]
-                c_seq = cond_sequence(z_hat, model.idm)
-                tau = diffusion_forcing_schedule(T, cfg.f_hist, cfg.p_clean, loss_rng)
-                epsilon = loss_rng.standard_normal(ep.x.shape).astype(F32)
-                fb = make_flow_target(ep.x.astype(F32), epsilon, tau)
-                pred = fdm_flow_predict(fb.v_tilde, fb.tau_seq, c_seq, model.fdm,
-                                        v_ctx=ep.x[cfg.f_hist - 1].astype(F32))
-                term = term + ((pred - Tensor(fb.u_tau)) ** 2).mean()
-            loss = term if loss is None else loss + term
-        loss = loss * (1.0 / batch_n)
+        v, a, _ = _stack_batch(pool, idx, cfg.d_a_max)
+        z_hat = a2l_predict(a, v[:, : cfg.f_hist], model.a2l, pointwise=pointwise)
+        loss = ((z_hat - Tensor(targets[idx])) ** 2).mean()
+        if ft:
+            loss = loss + flow_loss(v, cond_sequence(z_hat, model.idm), model.fdm, loss_rng)
         return loss, _rec_only(loss)
 
     rows = fit(step_fn, opts, config.a2l_steps, params, log_path)

@@ -236,14 +236,13 @@ class Dataset:
         return [ep for ep in self.episodes if ep.e == e]
 
 
-def generate_dataset(seed, spec, target_e=0, m_target=10, source_count=300, T=None):
+def generate_dataset(seed, spec, target_e=0, m_target=10, source_count=300):
     """Low-data target + plentiful sources; episodes ordered by (e, index)."""
-    T = T or spec.T
     episodes = []
     for e in spec.embodiments:
         count = m_target if e == target_e else source_count
         for i in range(count):
-            episodes.append(generate_episode(seed, e, T, spec, index=i))
+            episodes.append(generate_episode(seed, e, spec.T, spec, index=i))
     return Dataset(spec=spec, episodes=episodes, target_e=target_e)
 
 

@@ -459,8 +459,7 @@ def test_c12_pretraining_helps(dataset):
         cfg = make_config("scar-kl-grl", **{**DESK, "steps": 800}, seed=s,
                           **VARIANT_EXTRAS["scar-kl-grl"])
         pre, _ = _timed(f"pretrain[s{s}]", lambda: pretrain_fdm(dataset, cfg))
-        _, rows_pre = _timed(f"train[s{s}]", lambda: train_scar(
-            dataset, cfg, init_tensors=pre.numpy_params()))
+        _, rows_pre = _timed(f"train[s{s}]", lambda: train_scar(dataset, cfg, model=pre))
         _, rows_raw = _timed(f"train[s{s}]", lambda: train_scar(dataset, cfg))
         tail = lambda rows: float(np.mean([r["L_rec"] for r in rows[-100:]]))
         wins += tail(rows_pre) < tail(rows_raw)

@@ -12,9 +12,7 @@ from latact.autodiff import (
     kl_diag_gaussian,
     layer_norm,
     reparam_sample,
-    softmax,
     softmax_cross_entropy,
-    stack,
 )
 from latact.rng import stream
 
@@ -194,12 +192,6 @@ def test_concat_stack_slice_gradients():
     np.testing.assert_array_equal(a.grad, [1.0, 1.0])
     np.testing.assert_array_equal(b.grad, [1.0])
 
-    c = Tensor([1.0, 2.0], requires_grad=True)
-    d = Tensor([3.0, 4.0], requires_grad=True)
-    (stack([c, d]) * Tensor([[1.0, 2.0], [3.0, 4.0]])).sum().backward()
-    np.testing.assert_array_equal(c.grad, [1.0, 2.0])
-    np.testing.assert_array_equal(d.grad, [3.0, 4.0])
-
     e = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     e[0].sum().backward()
     np.testing.assert_array_equal(e.grad, [[1, 1, 1], [0, 0, 0]])
@@ -211,15 +203,6 @@ def test_unreached_parameters_keep_unset_gradients():
     (used * 2.0).sum().backward()
     assert used.grad is not None
     assert unused.grad is None
-
-
-def test_softmax_rows_sum_to_one_and_gradcheck():
-    rng = stream(11, "test-softmax")
-    x = Tensor(rng.normal(size=(3, 4)).astype(np.float32))
-    p = softmax(x)
-    np.testing.assert_allclose(p.data.sum(axis=-1), 1.0, atol=1e-6)
-    w = rng.normal(size=(3, 4)).astype(np.float32)
-    assert gradcheck(lambda t: (softmax(t) * Tensor(w)).sum(), x) < 1e-4
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -262,7 +245,7 @@ def test_backward_order_matches_recursive_post_order():
     s = a + b
     d = a - b
     h = (s * d).tanh() + s.exp() * a
-    out = (h * h + d.sigmoid() * s).sum()
+    out = (h * h + d.tanh() * s).sum()
     calls = []
     for t in _recursive_topo(out):
         if t._backward is not None:

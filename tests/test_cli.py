@@ -1,6 +1,5 @@
 import json
 import shutil
-from pathlib import Path
 
 import pytest
 
@@ -209,16 +208,24 @@ class TestEvalProbe:
 
 
 class TestA2l:
-    def test_sequence_mode(self, workdir, tmp_path):
+    @pytest.mark.parametrize("mode", ["sequence", "pointwise", "ft"])
+    def test_mode(self, workdir, tmp_path, mode):
         out = tmp_path / "a2l"
         assert main(["a2l", "--checkpoint", str(workdir / "run"),
                      "--data", str(workdir / "data" / "dataset.bin"),
-                     "--out", str(out), "--mode", "sequence"]) == 0
+                     "--out", str(out), "--mode", mode]) == 0
         rep = json.loads((out / "a2l.json").read_text())
-        assert rep["mode"] == "sequence"
+        assert rep["mode"] == mode
         assert rep["eval_latent_mse"] >= 0
-        tensors = load_checkpoint(out / "checkpoint.bin")
-        assert any(k.startswith("a2l.") for k in tensors)
+        before = load_checkpoint(workdir / "run" / "checkpoint.bin")
+        after = load_checkpoint(out / "checkpoint.bin")
+        assert any(k.startswith("a2l.") for k in after)
+        for k in before:
+            if k.startswith("idm."):
+                assert after[k].tobytes() == before[k].tobytes(), k
+        fdm_changed = any(after[k].tobytes() != before[k].tobytes()
+                          for k in before if k.startswith("fdm."))
+        assert fdm_changed == (mode == "ft")
 
 
 class TestVerify:

@@ -20,7 +20,7 @@ from latact.fitting import fit_mlp
 from latact.models import ModelConfig, build_model
 from latact.rng import stream
 from latact.training import model_checksum
-from latact.worldgen import DGPSpec, generate_dataset, generate_episode, realize_action
+from latact.worldgen import DGPSpec, generate_dataset, generate_episode
 
 F32 = np.float32
 
@@ -157,6 +157,17 @@ class TestLeakagePipeline:
         rep = leakage_eval(rollouts, clf, val_acc)
         assert 0.0 <= rep.source_prob <= 1.0
         assert 0.0 <= rep.target_prob <= 1.0
+
+
+    def test_raw_action_model_ignores_its_idm(self, dataset):
+        cfg = ModelConfig(d_v=dataset.spec.d_x)
+        model = build_model(cfg, stream(10, "test-eval-gt"), with_gtcond=True)
+        before = leakage_rollouts(model, dataset, seed=3, pairs_per_source=1)
+        for t in model.idm.params().values():
+            t.data += 1.0
+        after = leakage_rollouts(model, dataset, seed=3, pairs_per_source=1)
+        for (fb, *_), (fa, *_) in zip(before, after):
+            np.testing.assert_array_equal(fa, fb)
 
 
 class TestTransferEval:

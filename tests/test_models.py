@@ -247,6 +247,20 @@ class TestA2l:
         out = a2l_predict(np.zeros((0, 5), F32), _tokens(cfg)[:5], model.a2l)
         assert out.shape == (0, cfg.d_z)
 
+    def test_empty_batch(self, cfg, model):
+        ctx = np.stack([_tokens(cfg, seed=s)[:5] for s in (1, 2, 3)])
+        out = a2l_predict(np.zeros((3, 0, 5), F32), ctx, model.a2l)
+        assert out.shape == (3, 0, cfg.d_z)
+
+    @pytest.mark.parametrize("pointwise", [False, True])
+    def test_batch_matches_per_episode_calls(self, cfg, model, pointwise):
+        a = stream(19, "a2l-batch").uniform(-1, 1, (3, 16, 5)).astype(F32)
+        ctx = np.stack([_tokens(cfg, seed=s)[:5] for s in (1, 2, 3)])
+        batched = a2l_predict(a, ctx, model.a2l, pointwise=pointwise).data
+        single = np.stack([a2l_predict(a[i], ctx[i], model.a2l, pointwise=pointwise).data
+                           for i in range(3)])
+        np.testing.assert_array_equal(batched, single)
+
     def test_deterministic(self, cfg, model):
         a = stream(17, "a2l").uniform(-1, 1, (16, 5)).astype(F32)
         ctx = _tokens(cfg)[:5]

@@ -57,7 +57,6 @@ class TestAdaln:
 def _mod_with(mod, w):
     clone = ModulationWeights.__new__(ModulationWeights)
     clone.hidden_width = mod.hidden_width
-    clone.name = mod.name
     clone.w, clone.b = w, mod.b
     return clone
 
@@ -193,6 +192,6 @@ def _mlp_with_w0(mlp, w0):
 
 def test_init_bounds():
     rng = stream(9, "test-init")
-    mlp = Mlp(MlpSpec([16, 8], init_scale=1.0), rng)
+    mlp = Mlp(MlpSpec([16, 8]), rng)
     w = mlp.layers[0][0].data
     assert np.abs(w).max() <= 1.0 / np.sqrt(16) + 1e-7

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from latact.models import ModelConfig, build_model
+from latact.models import ModelConfig, a2l_predict, build_model
 from latact.rng import stream
 from latact.training import (
     TrainConfig,
@@ -13,6 +13,7 @@ from latact.training import (
     _stack_batch,
     make_config,
     model_checksum,
+    posterior_mean_targets,
     pretrain_fdm,
     total_loss,
     train_a2l,
@@ -165,8 +166,7 @@ class TestTrainScar:
 
     def test_pretrained_init_loads(self, dataset):
         mp, _ = pretrain_fdm(dataset, make_config("shared-latent", pretrain_steps=5, seed=0))
-        m, _ = train_scar(dataset, make_config("scar-kl-grl", steps=5, seed=0),
-                          init_tensors=mp.numpy_params())
+        m, _ = train_scar(dataset, make_config("scar-kl-grl", steps=5, seed=0), model=mp)
         assert np.isfinite(list(m.fdm.params().values())[0].data).all()
 
 
@@ -206,6 +206,20 @@ class TestA2l:
         changed = any(not np.array_equal(fdm_before[k], t.data)
                       for k, t in m.fdm.params().items())
         assert changed
+
+    def test_first_loss_matches_per_episode_mean(self, dataset):
+        m = build_model(ModelConfig(d_v=dataset.spec.d_x), stream(5, "a2l-ref"),
+                        with_a2l=True)
+        config = make_config("shared-latent", a2l_steps=1, seed=0)
+        pool = [ep for ep in dataset.episodes if ep.e == dataset.target_e]
+        batch_n = min(config.batch_episodes, len(pool))
+        idx = stream(0, "a2l:batches").integers(0, len(pool), batch_n)
+        f_hist = m.cfg.f_hist
+        ref = np.mean([
+            ((a2l_predict(pool[i].a, pool[i].x[:f_hist], m.a2l).data.astype(np.float64)
+              - posterior_mean_targets(m, pool[i])) ** 2).mean() for i in idx])
+        _, rows = train_a2l(m, dataset, config)
+        assert rows[0]["L_total"] == pytest.approx(ref, rel=1e-6)
 
     def test_pointwise_variant_runs(self, dataset):
         cfg_m = ModelConfig(d_v=dataset.spec.d_x)

@@ -7,7 +7,6 @@ from scipy import stats
 from latact.rng import stream
 from latact.worldgen import (
     DGPSpec,
-    Trajectory,
     frame_from_obs,
     gain,
     generate_dataset,
