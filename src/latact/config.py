@@ -113,17 +113,3 @@ def config_hash(config):
     """Stable under key and section reordering."""
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
-def render_config(config):
-    """Config dict back to the flat text form, deterministically ordered."""
-    lines = []
-    for section in sorted(config):
-        lines.append(f"[{section}]")
-        for key in sorted(config[section]):
-            val = config[section][key]
-            if isinstance(val, tuple):
-                val = ",".join(str(v) for v in val)
-            lines.append(f"{key} = {val}")
-        lines.append("")
-    return "\n".join(lines)

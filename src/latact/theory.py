@@ -27,6 +27,10 @@ F32 = np.float32
 
 SERIES_ASYMPTOTIC_SWITCH = 30.0
 
+# saddle_train draws this many steps' batches per vmf_sample call: a few MB
+# per chunk, where one draw for all steps would dominate peak memory
+SADDLE_CHUNK = 250
+
 
 def bessel_log_I(nu, r):
     """log of the modified Bessel function of the first kind I_nu(r).
@@ -78,7 +82,10 @@ def _bessel_asymptotic_log(nu, r):
 
 
 def bessel_ratio(d, kappa):
-    """I_{d/2}(kappa) / I_{d/2-1}(kappa): mean resultant length of vMF."""
+    """I_{d/2}(kappa) / I_{d/2-1}(kappa): mean resultant length of vMF.
+
+    Not used by the checks themselves; it is the oracle the vMF sampler's
+    tests compare the sampled mean resultant against."""
     if kappa == 0:
         return 0.0
     return math.exp(bessel_log_I(d / 2.0, kappa) - bessel_log_I(d / 2.0 - 1.0, kappa))
@@ -184,12 +191,8 @@ def _simplex_points(n, d):
 
 def vmf_experiment_data(exp, n_per_class, seed, purpose="saddle-data"):
     rng = stream(seed, purpose)
-    xs, es = [], []
-    for e in range(exp.n_embodiments):
-        xs.append(vmf_sample(exp.centers[e], exp.kappa, n_per_class, rng))
-        es.append(np.full(n_per_class, e))
-    x = np.vstack(xs).astype(F32)
-    e = np.concatenate(es)
+    x = vmf_sample(exp.centers, exp.kappa, n_per_class, rng).reshape(-1, exp.d_a)
+    e = np.repeat(np.arange(exp.n_embodiments), n_per_class)
     perm = rng.permutation(len(x))
     return x[perm], e[perm]
 
@@ -200,7 +203,8 @@ def saddle_train(exp, steps=8000, lr_enc=2e-3, lr_cls=2e-2, batch=256,
     classifier; the gradient-reversal node realizes the minimax in one
     optimizer step.
 
-    Batches are drawn fresh from the vMF mixture every step, so the game is
+    Every step takes a fresh batch from the vMF mixture (sampled
+    SADDLE_CHUNK steps at a time, never reused), so the game is
     played against the population objective rather than a finite training
     set (a fixed sample leaves an O(n^{-1/2}) bias in the recovered
     subspace). The learning rates decay linearly to damp SGD noise near the
@@ -215,14 +219,18 @@ def saddle_train(exp, steps=8000, lr_enc=2e-3, lr_cls=2e-2, batch=256,
     opt_cls = AdamW({"W": W, "b": b}, lr=lr_cls)
     rng = stream(seed, "saddle-batches")
     per_class = batch // exp.n_embodiments
+    eb = np.repeat(np.arange(exp.n_embodiments), per_class)
 
     for step in range(steps):
         decay = 1.0 - 0.9 * step / steps
         opt_enc.lr = lr_enc * decay
         opt_cls.lr = lr_cls * decay
-        xb = np.vstack([vmf_sample(exp.centers[e], exp.kappa, per_class, rng)
-                        for e in range(exp.n_embodiments)]).astype(F32)
-        eb = np.repeat(np.arange(exp.n_embodiments), per_class)
+        j = step % SADDLE_CHUNK
+        if j == 0:
+            n_chunk = min(SADDLE_CHUNK, steps - step)
+            chunk = vmf_sample(exp.centers, exp.kappa, per_class * n_chunk, rng)
+        # embodiment-major, as in eb
+        xb = chunk[:, j * per_class:(j + 1) * per_class].reshape(-1, exp.d_a)
         opt_enc.zero_grad()
         opt_cls.zero_grad()
         z = Tensor(xb) @ Mt

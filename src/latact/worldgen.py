@@ -120,14 +120,6 @@ def realize_action(u, e, spec):
     return a.astype(F32)
 
 
-def recover_unified_action(a, e, spec):
-    """Invert realize_action via the pseudo-inverse of the full-rank Q_e."""
-    a = np.asarray(a, F32)
-    if spec.action_squash:
-        a = np.arctanh(np.clip(a, -0.999999, 0.999999))
-    return (np.linalg.pinv(spec.Q[e]) @ (a - spec.b[e])).astype(F32)
-
-
 def _mix(s, spec):
     if spec.mixing == "identity":
         return s
@@ -195,12 +187,6 @@ def frame_from_obs(x, spec):
     for k, (i, j) in enumerate(_GLYPH_PIX[: spec.nuisance_dim]):
         frame[i, j] = np.clip(0.5 + 0.5 * nuis[k], 0.0, 1.0)
     return frame, clipped
-
-
-def render_frame(s, e, spec):
-    """H x W grayscale frame for a state and embodiment; deterministic."""
-    frame, _ = frame_from_obs(render(s, e, spec), spec)
-    return frame
 
 
 def generate_episode(seed, e, T, spec, index=0):
@@ -310,24 +296,34 @@ def transfer_spec(spec):
 # ---- von Mises-Fisher sampling ----
 
 def vmf_sample(center, kappa, n, rng):
-    """n i.i.d. unit vectors from vMF(center, kappa); Wood-style rejection
-    for the radial component, uniform tangential component."""
+    """n i.i.d. unit vectors from vMF(center, kappa) per center; Wood-style
+    rejection for the radial component, uniform tangential component.
+
+    A (d,) center gives (n, d); a (k, d) stack of centers gives (k, n, d),
+    with out[i] drawn around center[i]. All k*n radial parts come from one
+    rejection loop, then one (k, n, d) normal block supplies the tangents,
+    so a one-center call draws exactly what a (1, d) stack draws.
+    """
     center = np.asarray(center, np.float64)
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
-    if abs(np.linalg.norm(center) - 1.0) > 1e-6:
-        raise ValueError("center must be unit norm")
-    d = center.shape[0]
+    if center.ndim not in (1, 2):
+        raise ValueError(f"center must be (d,) or (k, d), got shape {center.shape}")
+    if np.abs(np.linalg.norm(center, axis=-1) - 1.0).max() > 1e-6:
+        raise ValueError("every center must be unit norm")
+    centers = center.reshape(-1, center.shape[-1])    # (k, d)
+    k, d = centers.shape
     if kappa == 0:
-        v = rng.normal(size=(n, d))
-        return (v / np.linalg.norm(v, axis=1, keepdims=True)).astype(F32)
-    ws = _vmf_radial(kappa, d, n, rng)
-    # tangential directions orthogonal to center
-    v = rng.normal(size=(n, d))
-    v -= np.outer(v @ center, center)
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    out = ws[:, None] * center[None, :] + np.sqrt(1.0 - ws[:, None] ** 2) * v
-    return out.astype(F32)
+        v = rng.normal(size=(k, n, d))
+        out = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    else:
+        ws = _vmf_radial(kappa, d, k * n, rng).reshape(k, n, 1)
+        # tangential directions orthogonal to each row's own center
+        v = rng.normal(size=(k, n, d))
+        v -= np.matmul(v, centers[:, :, None]) * centers[:, None, :]
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        out = ws * centers[:, None, :] + np.sqrt(1.0 - ws ** 2) * v
+    return out.reshape(center.shape[:-1] + (n, d)).astype(F32)
 
 
 def _vmf_radial(kappa, d, n, rng):

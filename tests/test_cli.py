@@ -16,7 +16,6 @@ m_target = 4
 source_count = 4
 [train]
 steps = 12
-a2l_steps = 8
 """
 
 
@@ -235,7 +234,6 @@ class TestVerify:
         assert rc == 1
         assert "vmf-enormous" in capsys.readouterr().err
 
-    @pytest.mark.slow
     def test_small_preset_passes(self, tmp_path):
         out = tmp_path / "v"
         assert main(["verify", "--preset", "vmf-small", "--out", str(out)]) == 0

@@ -6,7 +6,6 @@ from latact.config import (
     config_hash,
     load_config,
     parse_config,
-    render_config,
 )
 
 GOOD = """
@@ -75,11 +74,6 @@ class TestHashAndRender:
         a = parse_config("[dgp]\nT = 9")
         b = parse_config("[dgp]\nT = 10")
         assert config_hash(a) != config_hash(b)
-
-    def test_render_roundtrip(self):
-        cfg = parse_config(GOOD)
-        assert parse_config(render_config(cfg)) == cfg
-
 
 class TestBuildSection:
     def test_defaults_plus_overrides(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
+import latact.theory as th
 from latact.rng import stream
 from latact.theory import (
     bessel_I,
@@ -147,6 +148,13 @@ class TestVmfExperiment:
         assert x.shape == (200, 6)
         assert all((e == k).sum() == 50 for k in range(4))
 
+    def test_data_labels_follow_their_cluster(self):
+        exp = make_vmf_experiment(seed=5)
+        x, e = vmf_experiment_data(exp, 400, seed=5)
+        assert x.shape == (1600, 6) and x.dtype == np.float32
+        means = np.array([x[e == k].mean(axis=0) for k in range(4)])
+        np.testing.assert_array_equal((means @ exp.centers.T).argmax(axis=1), np.arange(4))
+
     def test_oracle_encoder_is_a_saddle_point(self):
         # With rows of M spanning V_perp, z carries no class signal, so the
         # best achievable classifier CE is ln|E| (checked by training only
@@ -168,6 +176,55 @@ class TestVmfExperiment:
         acc = (probe(x).argmax(1) == e).mean()
         assert acc > 0.9
         assert ce < 0.3
+
+
+class TestSaddleChunks:
+    def test_partial_last_chunk_and_rerun_identical(self, monkeypatch):
+        calls = []
+
+        def recording(center, kappa, n, rng):
+            out = vmf_sample(center, kappa, n, rng)
+            calls.append(out.shape)
+            return out
+
+        monkeypatch.setattr(th, "vmf_sample", recording)
+        steps = 300
+        assert steps % th.SADDLE_CHUNK != 0
+        reports = [saddle_train(make_vmf_experiment(d_a=4, d_z=2, seed=1), steps=steps,
+                                seed=1, n_test=400) for _ in range(2)]
+        assert reports[0] == reports[1]
+        assert reports[0]["ok"]
+        # per run: the held-out set, one full chunk, then the 50-step remainder
+        per_class = 256 // 4
+        rest = steps - th.SADDLE_CHUNK
+        assert calls[:3] == [(4, 100, 4), (4, th.SADDLE_CHUNK * per_class, 4),
+                             (4, rest * per_class, 4)]
+        assert calls[3:] == calls[:3]
+
+    def test_step_batches_are_embodiment_major(self, monkeypatch):
+        # each step's batch holds 64 rows of cluster 0, then 64 of cluster 1, ...
+        batches, labels = [], []
+        real_tensor, real_ce = th.Tensor, th.softmax_cross_entropy
+
+        def tensor(data, *args, **kwargs):
+            if np.shape(data) == (256, 6):
+                batches.append(np.array(data))
+            return real_tensor(data, *args, **kwargs)
+
+        def ce(logits, target):
+            labels.append(np.array(target))
+            return real_ce(logits, target)
+
+        monkeypatch.setattr(th, "Tensor", tensor)
+        monkeypatch.setattr(th, "softmax_cross_entropy", ce)
+        exp = make_vmf_experiment(seed=2)
+        saddle_train(exp, steps=3, seed=2, n_test=400)
+        assert len(batches) == 3
+        for xb, eb in zip(batches, labels):
+            np.testing.assert_array_equal(eb, np.repeat(np.arange(4), 64))
+            means = xb.reshape(4, 64, 6).mean(axis=1)
+            np.testing.assert_array_equal((means @ exp.centers.T).argmax(axis=1), np.arange(4))
+        assert not np.array_equal(batches[0], batches[1])
 
 
 @pytest.mark.slow

@@ -13,9 +13,7 @@ from latact.worldgen import (
     generate_episode,
     load_dataset,
     realize_action,
-    recover_unified_action,
     render,
-    render_frame,
     sample_unified_action,
     save_dataset,
     step_dynamics,
@@ -27,6 +25,10 @@ from latact.worldgen import (
 @pytest.fixture(scope="module")
 def spec():
     return DGPSpec()
+
+
+def _frame(s, e, spec):
+    return frame_from_obs(render(s, e, spec), spec)[0]
 
 
 class TestUnifiedAction:
@@ -90,7 +92,8 @@ class TestRealizeAction:
         for e in spec.embodiments:
             u = rng.uniform(-1, 1, spec.d_u).astype(np.float32)
             a = realize_action(u, e, spec)
-            np.testing.assert_allclose(recover_unified_action(a, e, spec), u, atol=1e-5)
+            recovered = np.linalg.pinv(spec.Q[e]) @ (a - spec.b[e])
+            np.testing.assert_allclose(recovered, u, atol=1e-5)
 
 
 class TestDynamics:
@@ -140,8 +143,8 @@ class TestRender:
 
     def test_frames_differ_only_in_glyph(self, spec):
         s = np.zeros(spec.d_s, np.float32)
-        f0 = render_frame(s, 0, spec)
-        f1 = render_frame(s, 1, spec)
+        f0 = _frame(s, 0, spec)
+        f1 = _frame(s, 1, spec)
         diff = np.argwhere(f0 != f1)
         glyph = {(0, 0), (0, 1), (1, 0)}
         assert set(map(tuple, diff)) <= glyph
@@ -149,8 +152,8 @@ class TestRender:
 
     def test_frame_purity_and_range(self, spec):
         s = np.array([0.3, -0.3, 0.1, 0.2], np.float32)
-        f1 = render_frame(s, 2, spec)
-        f2 = render_frame(s, 2, spec)
+        f1 = _frame(s, 2, spec)
+        f2 = _frame(s, 2, spec)
         np.testing.assert_array_equal(f1, f2)
         assert f1.min() >= 0.0 and f1.max() <= 1.0
 
@@ -250,3 +253,75 @@ class TestVmf:
     def test_negative_kappa_rejected(self):
         with pytest.raises(ValueError):
             vmf_sample(np.array([1.0, 0, 0]), -1.0, 5, stream(0, "x"))
+
+    def test_single_center_keeps_draw_order(self):
+        # inline copy of the one-center sampler the stacked one replaced
+        def reference(center, kappa, n, rng):
+            d = center.shape[0]
+            dim = d - 1
+            b = dim / (np.sqrt(4.0 * kappa**2 + dim**2) + 2 * kappa)
+            x0 = (1.0 - b) / (1.0 + b)
+            c = kappa * x0 + dim * np.log(1 - x0**2)
+            ws = np.empty(n)
+            filled = 0
+            while filled < n:
+                todo = n - filled
+                z = rng.beta(dim / 2.0, dim / 2.0, size=todo)
+                w = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
+                u = rng.uniform(size=todo)
+                ok = kappa * w + dim * np.log(1.0 - x0 * w) - c >= np.log(u)
+                k = int(ok.sum())
+                ws[filled:filled + k] = w[ok]
+                filled += k
+            v = rng.normal(size=(n, d))
+            v -= np.outer(v @ center, center)
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            out = ws[:, None] * center[None, :] + np.sqrt(1.0 - ws[:, None] ** 2) * v
+            return out.astype(np.float32)
+
+        center = np.array([0.6, 0.0, -0.8, 0.0])
+        for kappa, n in ((8.0, 64), (0.5, 1000)):
+            got = vmf_sample(center, kappa, n, stream(3, "vmf-order"))
+            want = reference(center, kappa, n, stream(3, "vmf-order"))
+            np.testing.assert_array_equal(got, want)
+            stacked = vmf_sample(center[None], kappa, n, stream(3, "vmf-order"))
+            np.testing.assert_array_equal(stacked[0], want)
+
+
+def _stack_centers(k, d, seed):
+    c = stream(seed, "vmf-centers").normal(size=(k, d))
+    return c / np.linalg.norm(c, axis=1, keepdims=True)
+
+
+class TestVmfStacked:
+    def test_shape_and_unit_rows(self):
+        centers = _stack_centers(3, 5, 0)
+        out = vmf_sample(centers, 6.0, 200, stream(0, "vmf-stack"))
+        assert out.shape == (3, 200, 5)
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(np.linalg.norm(out, axis=-1), 1.0, atol=1e-6)
+
+    def test_kappa_zero_stack_shape(self):
+        out = vmf_sample(_stack_centers(2, 4, 1), 0.0, 10, stream(1, "vmf-stack0"))
+        assert out.shape == (2, 10, 4)
+        np.testing.assert_allclose(np.linalg.norm(out, axis=-1), 1.0, atol=1e-6)
+
+    def test_each_center_mean_resultant_matches_bessel_ratio(self):
+        from latact.theory import bessel_ratio
+
+        d, kappa, n = 4, 10.0, 100_000
+        centers = _stack_centers(3, d, 2)
+        out = vmf_sample(centers, kappa, n, stream(2, "vmf-stack-bessel")).astype(np.float64)
+        for i, c in enumerate(centers):
+            r = out[i].mean(axis=0) @ c
+            assert abs(r - bessel_ratio(d, kappa)) < 1e-2, i
+
+    def test_one_non_unit_row_rejected(self):
+        centers = _stack_centers(4, 3, 3)
+        centers[2] *= 1.01
+        with pytest.raises(ValueError, match="unit norm"):
+            vmf_sample(centers, 5.0, 8, stream(3, "x"))
+
+    def test_bad_rank_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            vmf_sample(np.ones((1, 1, 1)), 5.0, 8, stream(4, "x"))
