@@ -49,12 +49,12 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None, op="leaf"):
+    def __init__(self, data, requires_grad=False, _parents=(), op="leaf"):
         self.data = np.asarray(data, dtype=DTYPE)  # module DTYPE read at creation time
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
         self._parents = _parents
-        self._backward = _backward
+        self._backward = None    # an op sets its backward closure after creation
         self.op = op
         if CHECK_FINITE and not np.all(np.isfinite(self.data)):
             raise NonFiniteError(op)
@@ -66,9 +66,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    def zero_grad(self):
-        self.grad = None
 
     def _accum(self, g):
         if self.grad is None:
@@ -368,12 +365,12 @@ def softmax_cross_entropy(logits, labels):
     return out
 
 
-def layer_norm(h, gain, bias, eps=1e-5):
+def layer_norm(h, gain, bias):
     """Normalize the last axis to zero mean / unit variance, then gain, bias."""
     x = h.data
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (x - mu) * inv
     out_data = xhat * gain.data + bias.data
     out = Tensor(out_data, _parents=(h, gain, bias), op="layer_norm")

@@ -113,10 +113,10 @@ def cmd_train(args):
     config = load_config(args.config) if args.config else {}
     train_cfg = _train_config(config, args.variant, args.seed)
     dataset = load_dataset(args.data)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model_cfg = build_section(config, "model", d_v=dataset.spec.d_x,
                               n_embodiments=dataset.spec.n_embodiments)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     model = build_model(model_cfg, stream(train_cfg.seed, "model-init"),
                         with_gtcond=train_cfg.gt_action)
     files = []
@@ -143,6 +143,9 @@ def _train_config(config, variant, seed):
         raise ConfigError("variant flag contradicts the config file")
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r} (choose from {sorted(VARIANTS)})")
+    if "seed" in values:
+        raise ConfigError("[train] key 'seed' is set by the command (--seed), "
+                          "not by the config file")
     values["seed"] = seed
     try:
         return make_config(variant, **values)
@@ -253,12 +256,12 @@ def cmd_a2l(args):
     return 0
 
 
-def _a2l_eval_mse(model, dataset, seed, pointwise=False, n_eval=20):
+def _a2l_eval_mse(model, dataset, seed, pointwise=False):
     from .models import a2l_predict
 
     spec = dataset.spec
     errs = []
-    for ep in ev.eval_episodes(spec, seed, n_eval, dataset.target_e):
+    for ep in ev.eval_episodes(spec, seed, 20, dataset.target_e):
         target = posterior_mean_targets(model, ep)
         pred = a2l_predict(ep.a, ep.x[: model.cfg.f_hist], model.a2l,
                            pointwise=pointwise).data

@@ -100,8 +100,13 @@ def load_config(path):
 
 
 def build_section(config, section, **overrides):
-    """Instantiate the section's dataclass with file values plus overrides."""
+    """Instantiate the section's dataclass with file values plus the values
+    the command sets (`overrides`); a file may not set those keys."""
     kwargs = dict(config.get(section, {}))
+    clash = sorted(set(kwargs) & set(overrides))
+    if clash:
+        raise ConfigError(f"[{section}] key '{clash[0]}' is set by the command, "
+                          "not by the config file")
     kwargs.update(overrides)
     try:
         return SECTION_TYPES[section](**kwargs)

@@ -96,7 +96,7 @@ def rollout_episode(model, episode, rng, c_seq=None):
 
 
 def frames_from_obs_seq(obs_seq, spec):
-    return np.stack([frame_from_obs(x, spec)[0] for x in obs_seq])
+    return np.stack([frame_from_obs(x, spec) for x in obs_seq])
 
 
 def eval_episodes(spec, seed, n_episodes, embodiment):
@@ -105,19 +105,22 @@ def eval_episodes(spec, seed, n_episodes, embodiment):
             for i in range(n_episodes)]
 
 
-def evaluate_rollouts(model, episodes, spec, seed):
-    """Per-episode image metrics of predicted vs true future frames, plus
-    token-space MSE; deterministic given the seed."""
-    rows = []
-    token_mse = []
-    f_hist = model.cfg.f_hist
+def evaluate_rollouts(models, episodes, spec, seed):
+    """Per-model, per-episode image metrics of predicted vs true future
+    frames, plus token-space MSE; deterministic given the seed. Each
+    episode's true frames are rendered once, from the shortest history on,
+    and every model slices its own future from that stack."""
+    rows = {name: [] for name in models}
+    token_mse = {name: [] for name in models}
+    f_min = min(model.cfg.f_hist for model in models.values())
     for i, ep in enumerate(episodes):
-        rng = stream(seed, f"rollout:{i}")
-        pred = rollout_episode(model, ep, rng)
-        pred_frames = frames_from_obs_seq(pred[f_hist:], spec)
-        true_frames = frames_from_obs_seq(ep.x[f_hist:], spec)
-        rows.append(image_metrics(pred_frames, true_frames))
-        token_mse.append(float(((pred[f_hist:] - ep.x[f_hist:]) ** 2).mean()))
+        true_frames = frames_from_obs_seq(ep.x[f_min:], spec)
+        for name, model in models.items():
+            f_hist = model.cfg.f_hist
+            pred = rollout_episode(model, ep, stream(seed, f"rollout:{i}"))
+            pred_frames = frames_from_obs_seq(pred[f_hist:], spec)
+            rows[name].append(image_metrics(pred_frames, true_frames[f_hist - f_min:]))
+            token_mse[name].append(float(((pred[f_hist:] - ep.x[f_hist:]) ** 2).mean()))
     return rows, token_mse
 
 
@@ -129,13 +132,12 @@ def run_transfer_eval(models, spec, seed, n_episodes=50):
     "token_mse": mean token MSE}}}.
     """
     tasks = {"target": spec, "transfer": transfer_spec(spec)}
-    episodes = {task: eval_episodes(task_spec, seed, n_episodes, 0)
-                for task, task_spec in tasks.items()}
-    out = {}
-    for name, model in models.items():
-        out[name] = {}
-        for task, task_spec in tasks.items():
-            rows, token_mse = evaluate_rollouts(model, episodes[task], task_spec, seed)
+    out = {name: {} for name in models}
+    for task, task_spec in tasks.items():
+        episodes = eval_episodes(task_spec, seed, n_episodes, 0)
+        all_rows, all_token_mse = evaluate_rollouts(models, episodes, task_spec, seed)
+        for name in models:
+            rows, token_mse = all_rows[name], all_token_mse[name]
             out[name][task] = {
                 "rows": rows,
                 "mse": float(np.mean([r.mse for r in rows])),
@@ -154,10 +156,11 @@ class FrameClassifier:
     flatten, linear head. No pooling — the embodiment cue is a few corner
     pixels and spatial pooling would dilute it."""
 
-    def __init__(self, n_classes, rng, channels=8, frame_size=16):
-        self.channels = channels
-        self.w_conv, self.b_conv = init_linear(rng, 9, channels)
-        n_feat = (frame_size - 2) ** 2 * channels
+    channels = 8
+
+    def __init__(self, n_classes, rng, frame_size=16):
+        self.w_conv, self.b_conv = init_linear(rng, 9, self.channels)
+        n_feat = (frame_size - 2) ** 2 * self.channels
         self.head = Mlp(MlpSpec([n_feat, n_classes], activation="gelu"), rng)
 
     @staticmethod
@@ -186,16 +189,16 @@ class FrameClassifier:
         return out
 
 
-def train_frame_classifier(dataset, seed=0, steps=3000, lr=1e-2, frames_per_episode=4):
-    """Independent single-frame embodiment classifier; returns
-    (classifier, validation accuracy)."""
+def train_frame_classifier(dataset, seed=0):
+    """Independent single-frame embodiment classifier, trained 3000 steps on
+    four random frames per dataset episode; returns (classifier, validation
+    accuracy)."""
     rng = stream(seed, "frame-clf")
     frames, labels = [], []
     for ep in dataset.episodes:
-        picks = rng.choice(len(ep.x), size=min(frames_per_episode, len(ep.x)),
-                           replace=False)
+        picks = rng.choice(len(ep.x), size=min(4, len(ep.x)), replace=False)
         for t in picks:
-            frames.append(frame_from_obs(ep.x[t], dataset.spec)[0])
+            frames.append(frame_from_obs(ep.x[t], dataset.spec))
             labels.append(ep.e)
     frames = np.stack(frames).astype(F32)
     labels = np.array(labels)
@@ -207,8 +210,8 @@ def train_frame_classifier(dataset, seed=0, steps=3000, lr=1e-2, frames_per_epis
 
     clf = FrameClassifier(dataset.spec.n_embodiments, rng,
                           frame_size=dataset.spec.frame_size)
-    opt = AdamW(clf.params(), lr=lr)
-    for _ in range(steps):
+    opt = AdamW(clf.params(), lr=1e-2)
+    for _ in range(3000):
         idx = rng.integers(0, len(tr_f), min(128, len(tr_f)))
         opt.zero_grad()
         ce = softmax_cross_entropy(clf.logits(tr_f[idx]), tr_l[idx])
@@ -225,11 +228,12 @@ def leakage_rollouts(model, dataset, seed, pairs_per_source=10):
     spec = dataset.spec
     target_e = dataset.target_e
     sources = [e for e in spec.embodiments if e != target_e]
+    targets = [generate_episode(seed, target_e, spec.T, spec, index=30_000 + i)
+               for i in range(pairs_per_source)]
     rollouts = []
     for e_s in sources:
-        for i in range(pairs_per_source):
+        for i, tgt in enumerate(targets):
             src = generate_episode(seed, e_s, spec.T, spec, index=20_000 + i)
-            tgt = generate_episode(seed, target_e, spec.T, spec, index=30_000 + i)
             pred = rollout_episode(model, tgt, stream(seed, f"leak:{e_s}:{i}"),
                                    c_seq=_conditioning(model, src))
             frames = frames_from_obs_seq(pred[model.cfg.f_hist:], spec)

@@ -44,16 +44,17 @@ def fit_linear(x, y):
     return predict
 
 
-def fit_mlp(x, y, hidden=(32, 32), steps=800, lr=1e-2, seed=0, batch=256):
-    """Train a small MLP regressor with AdamW; returns predict(x)."""
+def fit_mlp(x, y, steps=800, seed=0):
+    """Train a small MLP regressor (two tanh layers of 32) with AdamW on
+    minibatches of up to 256 rows; returns predict(x)."""
     x = np.asarray(x, F32)
     y = np.asarray(y, F32)
     rng = stream(seed, "fit-mlp")
-    mlp = Mlp(MlpSpec([x.shape[1], *hidden, y.shape[1]]), rng)
-    opt = AdamW(mlp.params(), lr=lr)
+    mlp = Mlp(MlpSpec([x.shape[1], 32, 32, y.shape[1]]), rng)
+    opt = AdamW(mlp.params(), lr=1e-2)
     n = len(x)
     for _ in range(steps):
-        idx = rng.integers(0, n, min(batch, n))
+        idx = rng.integers(0, n, min(256, n))
         opt.zero_grad()
         pred = mlp(Tensor(x[idx]))
         loss = ((pred - Tensor(y[idx])) ** 2).mean()
@@ -66,14 +67,14 @@ def fit_mlp(x, y, hidden=(32, 32), steps=800, lr=1e-2, seed=0, batch=256):
     return predict
 
 
-def fit_logistic_probe(z, labels, n_classes, steps=600, lr=5e-2, seed=0):
+def fit_logistic_probe(z, labels, n_classes, steps=600, seed=0):
     """Multinomial logistic probe; returns (predict_logits, final mean CE)."""
     z = np.asarray(z, F32)
     labels = np.asarray(labels)
     rng = stream(seed, "fit-probe")
     w = Tensor(rng.normal(0, 0.01, (z.shape[1], n_classes)).astype(F32), requires_grad=True)
     b = Tensor(np.zeros(n_classes, F32), requires_grad=True)
-    opt = AdamW({"w": w, "b": b}, lr=lr)
+    opt = AdamW({"w": w, "b": b}, lr=5e-2)
     n = len(z)
     for _ in range(steps):
         idx = rng.integers(0, n, min(512, n))
@@ -101,7 +102,10 @@ def energy_distance(x, y):
     return 2 * mean_dist(x, y) - mean_dist(x, x) - mean_dist(y, y)
 
 
-def energy_permutation_test(x, y, n_perm=200, seed=0):
+N_PERMUTATIONS = 200
+
+
+def energy_permutation_test(x, y, seed=0):
     """p-value for H0: same distribution, via label permutation."""
     rng = stream(seed, "energy-perm")
     x = np.asarray(x, np.float64)
@@ -110,9 +114,9 @@ def energy_permutation_test(x, y, n_perm=200, seed=0):
     pooled = np.vstack([x, y])
     n = len(x)
     hits = 0
-    for _ in range(n_perm):
+    for _ in range(N_PERMUTATIONS):
         perm = rng.permutation(len(pooled))
         stat = energy_distance(pooled[perm[:n]], pooled[perm[n:]])
         if stat >= obs:
             hits += 1
-    return (hits + 1) / (n_perm + 1), obs
+    return (hits + 1) / (N_PERMUTATIONS + 1), obs

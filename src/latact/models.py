@@ -54,6 +54,8 @@ class ModelConfig:
             raise ValueError("time_width must be even")
         if not 0.0 <= self.p_clean <= 1.0:
             raise ValueError("p_clean must lie in [0, 1]")
+        if self.n_euler_steps < 1:
+            raise ValueError("n_euler_steps must be >= 1")
 
 
 @dataclass
@@ -70,8 +72,6 @@ class LatentActionPosterior:
 
 @dataclass
 class FlowBatch:
-    v: np.ndarray
-    epsilon: np.ndarray
     tau_seq: np.ndarray
     v_tilde: np.ndarray
     u_tau: np.ndarray
@@ -93,8 +93,8 @@ def make_flow_target(v, epsilon, tau_seq):
         raise ValueError("tau values must lie in [0, 1]")
     sigma = linear_schedule(tau_seq)[..., None]
     v_tilde = (1.0 - sigma) * v + sigma * epsilon
-    return FlowBatch(v=v, epsilon=epsilon, tau_seq=tau_seq,
-                     v_tilde=v_tilde.astype(F32), u_tau=(epsilon - v).astype(F32))
+    return FlowBatch(tau_seq=tau_seq, v_tilde=v_tilde.astype(F32),
+                     u_tau=(epsilon - v).astype(F32))
 
 
 def diffusion_forcing_schedule(F, f_hist, p_clean, rng):
@@ -288,15 +288,16 @@ def pad_actions(a_seq, d_a_max):
     return out
 
 
-def fdm_flow_predict(v_tilde, tau_seq, c_seq, fdm, v_ctx=None):
+def fdm_flow_predict(v_tilde, tau_seq, c_seq, fdm, v_ctx):
     """Predicted flow velocity for every token.
 
     Per-token input is the noised token, its noised predecessor (zeros for
-    the first token), a clean context token shared across the sequence (the
-    last history frame; zeros when absent), and the time embedding of its
-    noise level; the conditioning sequence enters through AdaLN at every
-    hidden block. Accepts (F, d_v) or any leading batch shape (..., F, d_v);
-    tau_seq must match the leading-and-time shape.
+    the first token), the clean context token `v_ctx` shared across the
+    sequence (the last history frame), and the time embedding of its noise
+    level; the conditioning sequence enters through AdaLN at every hidden
+    block. Accepts (F, d_v) or any leading batch shape (..., F, d_v);
+    tau_seq must match the leading-and-time shape and v_ctx the leading
+    shape.
     """
     if not isinstance(v_tilde, Tensor):
         v_tilde = Tensor(np.asarray(v_tilde, F32))
@@ -308,26 +309,21 @@ def fdm_flow_predict(v_tilde, tau_seq, c_seq, fdm, v_ctx=None):
     temb = Tensor(time_embed(np.asarray(tau_seq, F32), fdm.cfg.time_width))
     zero = Tensor(np.zeros((*v_tilde.shape[:-2], 1, fdm.cfg.d_v), F32))
     prev = concat([zero, v_tilde[..., :-1, :]], axis=-2)
-    if v_ctx is None:
-        ctx_tokens = Tensor(np.zeros((*v_tilde.shape[:-2], F, fdm.cfg.d_v), F32))
-    else:
-        if not isinstance(v_ctx, Tensor):
-            v_ctx = Tensor(np.asarray(v_ctx, F32))
-        one = v_ctx.reshape(*v_ctx.shape[:-1], 1, v_ctx.shape[-1])
-        ctx_tokens = concat([one] * F, axis=-2)
+    if not isinstance(v_ctx, Tensor):
+        v_ctx = Tensor(np.asarray(v_ctx, F32))
+    one = v_ctx.reshape(*v_ctx.shape[:-1], 1, v_ctx.shape[-1])
+    ctx_tokens = concat([one] * F, axis=-2)
     h = concat([v_tilde, prev, ctx_tokens, temb], axis=-1)
     for (w, b), mod in zip(fdm.layers, fdm.mods):
         h = adaln_modulate(h @ w + b, c_seq, mod).gelu()
     return h @ fdm.w_out + fdm.b_out
 
 
-def rollout_generate(context, c_seq, fdm, rng, n_steps=None):
-    """Euler-integrate the flow from tau=1 to tau=0 over the future tokens,
-    clamping the context block to its clean values at every step."""
-    if n_steps is None:
-        n_steps = fdm.cfg.n_euler_steps
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+def rollout_generate(context, c_seq, fdm, rng):
+    """Euler-integrate the flow from tau=1 to tau=0 over the future tokens
+    in `fdm.cfg.n_euler_steps` steps, clamping the context block to its
+    clean values at every step."""
+    n_steps = fdm.cfg.n_euler_steps
     context = np.asarray(context, F32)
     f_hist = context.shape[0]
     F = c_seq.shape[0]

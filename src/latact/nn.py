@@ -100,8 +100,9 @@ def causal_temporal_conv(z_seq, kernel):
     return concat([first, rest], axis=-2)
 
 
-def time_embed(tau, width, max_freq=1000.0):
-    """Sinusoidal embedding of tau in [0, 1]; frequencies geometrically spaced.
+def time_embed(tau, width):
+    """Sinusoidal embedding of tau in [0, 1]; frequencies geometrically spaced
+    from 1 to 1000.
 
     Returns a plain float32 array: (..., width) = [sin(w_k tau), cos(w_k tau)].
     """
@@ -110,6 +111,6 @@ def time_embed(tau, width, max_freq=1000.0):
     tau = np.asarray(tau, dtype=np.float32)
     half = width // 2
     k = np.arange(half)
-    freqs = max_freq ** (k / max(half - 1, 1))
+    freqs = 1000.0 ** (k / max(half - 1, 1))
     ang = tau[..., None] * freqs
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1).astype(np.float32)

@@ -30,6 +30,7 @@ SERIES_ASYMPTOTIC_SWITCH = 30.0
 # saddle_train draws this many steps' batches per vmf_sample call: a few MB
 # per chunk, where one draw for all steps would dominate peak memory
 SADDLE_CHUNK = 250
+SADDLE_BATCH = 256    # points per step, split evenly over the clusters
 
 
 def bessel_log_I(nu, r):
@@ -151,10 +152,10 @@ class VmfExperiment:
     b: np.ndarray              # (|E|,) classifier bias
 
 
-def make_vmf_experiment(d_a=6, d_z=3, n_embodiments=4, kappa=8.0, seed=0,
-                        center_angle=1.05, init_in_v_perp=False):
+def make_vmf_experiment(d_a=6, d_z=3, n_embodiments=4, kappa=8.0, seed=0):
     """Place unit cluster centers so their pairwise differences span a
-    (d_a - d_z)-dimensional subspace exactly."""
+    (d_a - d_z)-dimensional subspace exactly; each center sits 1.05 rad off
+    a common axis orthogonal to that subspace."""
     d_v = d_a - d_z
     if n_embodiments - 1 < d_v:
         raise ValueError("need |E| - 1 >= d_a - d_z for the difference span")
@@ -164,29 +165,31 @@ def make_vmf_experiment(d_a=6, d_z=3, n_embodiments=4, kappa=8.0, seed=0,
     w_axis = frame[:, d_v]              # common component, orthogonal to V
     # simplex directions inside V: |E| unit points whose differences span V
     simplex = _simplex_points(n_embodiments, d_v)
-    centers = np.cos(center_angle) * w_axis[None, :] \
-        + np.sin(center_angle) * (simplex @ v_basis.T)
+    centers = np.cos(1.05) * w_axis[None, :] + np.sin(1.05) * (simplex @ v_basis.T)
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-    M0 = rng.normal(0, 0.3, (d_z, d_a))
-    if init_in_v_perp:
-        M0 = frame[:, d_v:].T.copy()    # orthonormal rows spanning V_perp
     return VmfExperiment(
         d_a=d_a, d_z=d_z, n_embodiments=n_embodiments, kappa=kappa,
         centers=centers, V=v_basis, V_perp=frame[:, d_v:],
-        M=M0.astype(F32),
+        M=rng.normal(0, 0.3, (d_z, d_a)).astype(F32),
         W=rng.normal(0, 0.1, (d_z, n_embodiments)).astype(F32),
         b=np.zeros(n_embodiments, F32),
     )
 
 
 def _simplex_points(n, d):
-    """n unit points in R^d whose pairwise differences span R^d (needs n-1 >= d)."""
-    pts = np.eye(n)[:, : n - 1]
-    pts = pts - pts.mean(axis=0)
-    u, s, _ = np.linalg.svd(pts, full_matrices=False)
-    pts = u[:, :d] * s[:d]
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    return pts
+    """n unit points in R^d whose pairwise differences span R^d (needs n-1 >= d).
+
+    The points sit at n equally spaced angles t on the trigonometric moment
+    curve (cos t, sin t, cos 2t, sin 2t, ...) cut to d coordinates, then
+    scaled to unit norm. Over n equally spaced angles the harmonics below
+    n/2, and the cosine at n/2, are orthogonal and sum to zero, so the
+    unscaled points' differences span R^d.
+    """
+    t = 2.0 * np.pi * np.arange(n) / n
+    k = np.arange(d)
+    harmonic = (k // 2 + 1) * t[:, None]
+    pts = np.where(k % 2 == 0, np.cos(harmonic), np.sin(harmonic))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
 def vmf_experiment_data(exp, n_per_class, seed, purpose="saddle-data"):
@@ -197,8 +200,7 @@ def vmf_experiment_data(exp, n_per_class, seed, purpose="saddle-data"):
     return x[perm], e[perm]
 
 
-def saddle_train(exp, steps=8000, lr_enc=2e-3, lr_cls=2e-2, batch=256,
-                 rank_penalty=1e-3, seed=0, n_test=4000):
+def saddle_train(exp, steps=8000, seed=0, n_test=4000):
     """Adversarial training of the linear encoder against the embodiment
     classifier; the gradient-reversal node realizes the minimax in one
     optimizer step.
@@ -207,18 +209,19 @@ def saddle_train(exp, steps=8000, lr_enc=2e-3, lr_cls=2e-2, batch=256,
     SADDLE_CHUNK steps at a time, never reused), so the game is
     played against the population objective rather than a finite training
     set (a fixed sample leaves an O(n^{-1/2}) bias in the recovered
-    subspace). The learning rates decay linearly to damp SGD noise near the
-    saddle. Returns a report dict.
+    subspace). The learning rates decay linearly to a tenth to damp SGD
+    noise near the saddle. Returns a report dict; `exp` is not modified.
     """
     x_test, e_test = vmf_experiment_data(exp, n_test // exp.n_embodiments, seed, "saddle-test")
 
     Mt = Tensor(exp.M.T.copy(), requires_grad=True)   # (d_a, d_z)
     W = Tensor(exp.W.copy(), requires_grad=True)
     b = Tensor(exp.b.copy(), requires_grad=True)
+    lr_enc, lr_cls = 2e-3, 2e-2
     opt_enc = AdamW({"Mt": Mt}, lr=lr_enc)
     opt_cls = AdamW({"W": W, "b": b}, lr=lr_cls)
     rng = stream(seed, "saddle-batches")
-    per_class = batch // exp.n_embodiments
+    per_class = SADDLE_BATCH // exp.n_embodiments
     eb = np.repeat(np.arange(exp.n_embodiments), per_class)
 
     for step in range(steps):
@@ -237,21 +240,17 @@ def saddle_train(exp, steps=8000, lr_enc=2e-3, lr_cls=2e-2, batch=256,
         logits = grl(z, 1.0) @ W + b
         ce = softmax_cross_entropy(logits, eb)
         ce.backward()
-        # spectral floor: minimize -mu log det(M M^T + eps I)
+        # spectral floor: minimize -mu log det(M M^T + eps I), mu = 1e-3
         M = Mt.data.T.astype(np.float64)
         G = M @ M.T + 1e-6 * np.eye(exp.d_z)
-        Mt.grad = Mt.grad + (-rank_penalty * 2.0 * (np.linalg.inv(G) @ M)).T.astype(F32)
+        Mt.grad = Mt.grad + (-1e-3 * 2.0 * (np.linalg.inv(G) @ M)).T.astype(F32)
         opt_enc.step()
         opt_cls.step()
 
     M = Mt.data.T.astype(np.float64)
-    exp.M = Mt.data.T.copy()
-    exp.W = W.data.copy()
-    exp.b = b.data.copy()
-
     svals = np.linalg.svd(M, compute_uv=False)
     if svals.min() < 1e-6:
-        return {"ok": False, "reason": "rank collapse", "singular_values": svals.tolist()}
+        return {"ok": False, "reason": "rank collapse"}
 
     logits_test = x_test @ M.T @ W.data.astype(np.float64) + b.data
     ce_test = float(softmax_cross_entropy(Tensor(logits_test.astype(F32)), e_test).data)
@@ -265,13 +264,12 @@ def saddle_train(exp, steps=8000, lr_enc=2e-3, lr_cls=2e-2, batch=256,
         "ln_num_embodiments": math.log(exp.n_embodiments),
         "invariance_stat": float(inv_stat),
         "max_principal_angle": float(angles.max()),
-        "singular_values": svals.tolist(),
     }
 
 
 # ---- inverse-dynamics lemma check ----
 
-def make_linear_dgp(seed=0):
+def make_linear_dgp():
     """Fully linear process: no squash, no gain field, identity mixing.
 
     Three embodiments, so the pooled raw actions affinely span the whole
@@ -281,7 +279,7 @@ def make_linear_dgp(seed=0):
     """
     return DGPSpec(d_u=2, d_a=3, d_s=3, d_x=6, nuisance_dim=0, n_embodiments=3,
                    gain_field=False, squash=False, mixing="identity",
-                   lighting_scale=0.0, param_seed=seed)
+                   lighting_scale=0.0)
 
 
 def _collect_transitions(spec, n_episodes, T, seed):
@@ -296,8 +294,7 @@ def _collect_transitions(spec, n_episodes, T, seed):
             np.vstack(aa).astype(F32), np.vstack(ss).astype(F32))
 
 
-def train_linear_idm_fdm(spec, steps=3000, lr=1e-2, seed=0, n_episodes=200,
-                         checkpoint_every=None):
+def train_linear_idm_fdm(spec, steps=3000, seed=0):
     """Jointly train a linear IDM (observation pair -> recovered action) and
     a linear FDM on the state-reconstruction objective.
 
@@ -308,24 +305,19 @@ def train_linear_idm_fdm(spec, steps=3000, lr=1e-2, seed=0, n_episodes=200,
     so the residual form is what makes the state-independence conclusion
     testable rather than assumed.
 
-    Returns (idm_predict, final_loss, history) with (loss, B) snapshots.
+    Trains on 200 episodes; returns (idm_predict, final full-data loss).
     """
-    x_t, x_n, a, s_t = _collect_transitions(spec, n_episodes, spec.T, seed)
+    x_t, x_n, a, s_t = _collect_transitions(spec, 200, spec.T, seed)
     s_n = s_t + a @ spec.W_dyn.T.astype(F32)
     rng = stream(seed, "lemma-train")
     d_in = 2 * spec.d_x
     B = Tensor(rng.normal(0, 0.1, (d_in, spec.d_a)).astype(F32), requires_grad=True)
     b_i = Tensor(np.zeros(spec.d_a, F32), requires_grad=True)
     D = Tensor(rng.normal(0, 0.1, (spec.d_a, spec.d_s)).astype(F32), requires_grad=True)
-    opt = AdamW({"B": B, "b_i": b_i, "D": D}, lr=lr, wd=1e-4)
+    opt = AdamW({"B": B, "b_i": b_i, "D": D}, lr=1e-2, wd=1e-4)
     pairs = np.hstack([x_t, x_n])
-    history = []
 
-    def full_loss():
-        a_tilde = Tensor(pairs) @ B + b_i
-        return float((((Tensor(s_t) + a_tilde @ D) - Tensor(s_n)) ** 2).mean().data)
-
-    for step in range(steps):
+    for _ in range(steps):
         idx = rng.integers(0, len(pairs), 256)
         opt.zero_grad()
         a_tilde = Tensor(pairs[idx]) @ B + b_i
@@ -333,15 +325,13 @@ def train_linear_idm_fdm(spec, steps=3000, lr=1e-2, seed=0, n_episodes=200,
         loss = ((pred - Tensor(s_n[idx])) ** 2).mean()
         loss.backward()
         opt.step()
-        if checkpoint_every and step % checkpoint_every == 0:
-            history.append((full_loss(), B.data.copy(), b_i.data.copy()))
-    final_loss = full_loss()
-    history.append((final_loss, B.data.copy(), b_i.data.copy()))
+    a_tilde = Tensor(pairs) @ B + b_i
+    final_loss = float((((Tensor(s_t) + a_tilde @ D) - Tensor(s_n)) ** 2).mean().data)
 
     def idm_predict(x_pair):
         return np.asarray(x_pair, F32) @ B.data + b_i.data
 
-    return idm_predict, final_loss, history
+    return idm_predict, final_loss
 
 
 def state_dependence_gap(a_tilde, a, s):
@@ -356,11 +346,12 @@ def state_dependence_gap(a_tilde, a, s):
     return r2_as - r2_a, r2_a, r2_as
 
 
-def idm_lemma_check(spec=None, seed=0, steps=3000):
+def idm_lemma_check(seed=0, steps=3000):
     """Numerical check that the jointly trained inverse model recovers the
-    raw action up to an invertible reparameterization, independent of state."""
-    spec = spec or make_linear_dgp()
-    idm, final_loss, _ = train_linear_idm_fdm(spec, steps=steps, seed=seed)
+    raw action up to an invertible reparameterization, independent of state,
+    on the linear process of `make_linear_dgp`."""
+    spec = make_linear_dgp()
+    idm, final_loss = train_linear_idm_fdm(spec, steps=steps, seed=seed)
     x_t, x_n, a, s_t = _collect_transitions(spec, 100, spec.T, seed + 1)
     a_tilde = idm(np.hstack([x_t, x_n]))
     n = len(a)

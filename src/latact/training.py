@@ -68,8 +68,6 @@ class TrainConfig:
     a2l_steps: int = 800
     batch_episodes: int = 16
     seed: int = 0
-    m_target: int = 10
-    source_count: int = 300
     pretrain_fdm: bool = False
     kl_warmup_steps: int = 0    # linear ramp of beta from 0; 0 disables
 

@@ -79,12 +79,12 @@ class DGPSpec:
         return list(range(self.n_embodiments))
 
 
-def _injective_matrix(rng, rows, cols, min_sv=0.5, max_sv=1.2):
-    """Random rows x cols matrix with singular values in [min_sv, max_sv]."""
+def _injective_matrix(rng, rows, cols):
+    """Random rows x cols matrix with singular values in [0.5, 1.2]."""
     assert rows >= cols
     a = rng.normal(size=(rows, cols))
     u, _, vt = np.linalg.svd(a, full_matrices=False)
-    svals = rng.uniform(min_sv, max_sv, cols)
+    svals = rng.uniform(0.5, 1.2, cols)
     return (u * svals) @ vt
 
 
@@ -98,7 +98,6 @@ class Trajectory:
     u: np.ndarray          # (T-1, d_u) ground-truth unified actions
     s: np.ndarray          # (T, d_s) states
     lighting: float = 0.0
-    clipped: bool = False  # any frame-render clamp occurred
 
     def __post_init__(self):
         T = self.x.shape[0]
@@ -170,23 +169,20 @@ _GLYPH_PIX = [(0, 0), (0, 1), (1, 0)]  # top-left corner pixels, one per nuisanc
 
 def frame_from_obs(x, spec):
     """Rasterize an observation: agent blob from the decoded state, glyph
-    pixels from the nuisance block. Pure function of x. Returns (frame, clipped)."""
+    pixels from the nuisance block. Pure function of x; a blob position off
+    the frame is clamped to its edge."""
     n = spec.frame_size
     frame = np.zeros((n, n), F32)
     s = decode_state(x, spec)
-    clipped = False
     pos = []
     for coord in s[:2]:
         p = (coord + 1.5) / 3.0 * (n - 2)
-        if p < 0 or p > n - 2:
-            clipped = True
-            p = min(max(p, 0), n - 2)
-        pos.append(int(round(p)))
+        pos.append(int(round(min(max(p, 0), n - 2))))
     frame[pos[1]:pos[1] + 2, pos[0]:pos[0] + 2] = 1.0
     nuis = obs_nuisance_block(x, spec)
     for k, (i, j) in enumerate(_GLYPH_PIX[: spec.nuisance_dim]):
         frame[i, j] = np.clip(0.5 + 0.5 * nuis[k], 0.0, 1.0)
-    return frame, clipped
+    return frame
 
 
 def generate_episode(seed, e, T, spec, index=0):
@@ -200,16 +196,13 @@ def generate_episode(seed, e, T, spec, index=0):
     u = np.empty((T - 1, spec.d_u), F32)
     a = np.empty((T - 1, spec.d_a), F32)
     s[0] = rng.normal(0, 0.5, spec.d_s)
-    clipped = False
     for t in range(T - 1):
         u[t] = sample_unified_action(rng, spec)
         a[t] = realize_action(u[t], e, spec)
         s[t + 1] = step_dynamics(s[t], a[t], spec)
     for t in range(T):
         x[t] = render(s[t], e, spec, lighting)
-        _, c = frame_from_obs(x[t], spec)
-        clipped = clipped or c
-    return Trajectory(x=x, a=a, e=e, u=u, s=s, lighting=lighting, clipped=clipped)
+    return Trajectory(x=x, a=a, e=e, u=u, s=s, lighting=lighting)
 
 
 @dataclass
@@ -238,7 +231,8 @@ _EPISODE_RECORDS = ("x", "a", "u", "s", "meta")
 
 
 def save_dataset(path, dataset):
-    """Header (spec hash, counts, dims) + per-episode tensor records."""
+    """Header (spec hash, counts, dims) + per-episode tensor records: x, a,
+    u, s, and meta = (embodiment, lighting)."""
     spec = dataset.spec
     counts = [len(dataset.by_embodiment(e)) for e in spec.embodiments]
     header = {
@@ -254,12 +248,14 @@ def save_dataset(path, dataset):
         fh.write(struct.pack("<I", len(hb)))
         fh.write(hb)
         for i, ep in enumerate(dataset.episodes):
-            meta = np.array([ep.e, ep.lighting, 1.0 if ep.clipped else 0.0], F32)
+            meta = np.array([ep.e, ep.lighting], F32)
             for name, arr in zip(_EPISODE_RECORDS, (ep.x, ep.a, ep.u, ep.s, meta)):
                 write_record(fh, f"ep{i:05d}.{name}", arr)
 
 
 def load_dataset(path):
+    """Read a `save_dataset` file. Only the first two meta values are read,
+    so files that also store a per-episode clip flag there still load."""
     with open(path, "rb") as fh:
         (hlen,) = struct.unpack("<I", read_exact(fh, 4, path, "header length"))
         header = json.loads(read_exact(fh, hlen, path, "header").decode())
@@ -281,8 +277,7 @@ def load_dataset(path):
         meta = records[f"{p}.meta"]
         episodes.append(Trajectory(
             x=records[f"{p}.x"], a=records[f"{p}.a"], u=records[f"{p}.u"],
-            s=records[f"{p}.s"], e=int(meta[0]), lighting=float(meta[1]),
-            clipped=bool(meta[2] > 0.5)))
+            s=records[f"{p}.s"], e=int(meta[0]), lighting=float(meta[1])))
     return Dataset(spec=spec, episodes=episodes, target_e=header["target_e"])
 
 

@@ -1,12 +1,19 @@
 import json
+import re
+import shlex
 import shutil
+import struct
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from latact.cli import main
-from latact.serialize import load_checkpoint
+from latact.cli import main, make_parser
+from latact.serialize import load_checkpoint, read_record, write_record
 from latact.training import VARIANTS
 from latact.worldgen import load_dataset
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 CFG = """
 [dgp]
@@ -46,6 +53,40 @@ class TestGen:
         a = (workdir / "data" / "dataset.bin").read_bytes()
         b = (tmp_path / "d2" / "dataset.bin").read_bytes()
         assert a == b
+
+    def test_three_value_meta_loads_and_trains_identically(self, workdir, tmp_path):
+        # datasets whose per-episode meta also holds a trailing clip flag
+        # (e, lighting, flag) load, and train to the same bytes
+        new = workdir / "data" / "dataset.bin"
+        old = tmp_path / "three-value-meta.bin"
+        with open(new, "rb") as src, open(old, "wb") as dst:
+            head = src.read(4)
+            dst.write(head + src.read(struct.unpack("<I", head)[0]))
+            while True:
+                name, vals = read_record(src, new, 0)
+                if name is None:
+                    break
+                if name.endswith(".meta"):
+                    vals = np.append(vals, np.float32(1.0))
+                write_record(dst, name, vals)
+        assert old.stat().st_size > new.stat().st_size
+        a, b = load_dataset(new), load_dataset(old)
+        assert [(ep.e, ep.lighting) for ep in a.episodes] == \
+            [(ep.e, ep.lighting) for ep in b.episodes]
+        for data, out in ((new, "r-new"), (old, "r-old")):
+            assert main(["train", "--variant", "scar-kl-grl",
+                         "--config", str(workdir / "cfg.txt"), "--data", str(data),
+                         "--out", str(tmp_path / out), "--seed", "0"]) == 0
+        for name in ("checkpoint.bin", "log.csv", "model.json"):
+            assert (tmp_path / "r-new" / name).read_bytes() == \
+                (tmp_path / "r-old" / name).read_bytes(), name
+
+    def test_command_set_key_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("[dgp]\nparam_seed = 3\n")
+        rc = main(["gen", "--spec", str(cfg), "--out", str(tmp_path / "d")])
+        assert rc == 1
+        assert "[dgp] key 'param_seed'" in capsys.readouterr().err
 
     def test_manifest_contents(self, workdir):
         man = json.loads((workdir / "data" / "manifest.json").read_text())
@@ -134,6 +175,27 @@ class TestTrain:
                    "--out", str(tmp_path / "r")])
         assert rc == 1
         assert "stride" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key", [("train", "seed"), ("model", "d_v"),
+                                             ("model", "n_embodiments")])
+    def test_command_set_key_refused(self, workdir, tmp_path, capsys, section, key):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"[train]\nsteps = 3\n[{section}]\n{key} = 3\n")
+        rc = main(["train", "--variant", "scar-kl-grl", "--config", str(cfg),
+                   "--data", str(workdir / "data" / "dataset.bin"),
+                   "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert f"[{section}] key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_data_key_in_train_section_refused(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("[train]\nsteps = 3\nm_target = 4\n")
+        rc = main(["train", "--variant", "scar-kl-grl", "--config", str(cfg),
+                   "--data", str(workdir / "data" / "dataset.bin"),
+                   "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert "line 3: unknown key 'm_target' in [train]" in capsys.readouterr().err
 
     def test_unknown_variant_exits_nonzero(self, workdir, tmp_path, capsys):
         rc = main(["train", "--variant", "scar-maximal",
@@ -251,3 +313,13 @@ def test_missing_data_file_is_one_line_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert err.count("\n") == 1
+
+
+def test_readme_cli_block_parses():
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", README.read_text(), re.S).group(1)
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("latact ")]
+    assert [line.split()[1] for line in lines] == \
+        ["gen", "train", "eval", "probe", "leakage", "a2l", "verify"]
+    for line in lines:
+        make_parser().parse_args(shlex.split(line)[1:])

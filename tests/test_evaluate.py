@@ -20,7 +20,7 @@ from latact.fitting import fit_mlp
 from latact.models import ModelConfig, build_model
 from latact.rng import stream
 from latact.training import model_checksum
-from latact.worldgen import DGPSpec, generate_dataset, generate_episode
+from latact.worldgen import DGPSpec, frame_from_obs, generate_dataset, generate_episode
 
 F32 = np.float32
 
@@ -159,6 +159,19 @@ class TestLeakagePipeline:
         assert 0.0 <= rep.target_prob <= 1.0
 
 
+    def test_target_episodes_generated_once(self, dataset, model, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append((args[1], kwargs["index"]))
+            return generate_episode(*args, **kwargs)
+        monkeypatch.setattr(ev, "generate_episode", counting)
+        rollouts = leakage_rollouts(model, dataset, seed=3, pairs_per_source=2)
+        assert len(rollouts) == 3 * 2
+        # two target episodes shared by all sources, then two per source
+        assert sorted(calls) == [(0, 30_000), (0, 30_001)] + [
+            (e, 20_000 + i) for e in (1, 2, 3) for i in range(2)]
+
     def test_raw_action_model_ignores_its_idm(self, dataset):
         cfg = ModelConfig(d_v=dataset.spec.d_x)
         model = build_model(cfg, stream(10, "test-eval-gt"), with_gtcond=True)
@@ -182,15 +195,23 @@ class TestTransferEval:
             assert -1 <= cell["ssim"] <= 1
 
     def test_held_out_episodes_generated_once_per_task(self, dataset, model, monkeypatch):
-        calls = []
+        calls, frames = [], []
 
         def counting(*args, **kwargs):
             calls.append(args)
             return generate_episode(*args, **kwargs)
+
+        def counting_frames(*args):
+            frames.append(args)
+            return frame_from_obs(*args)
         monkeypatch.setattr(ev, "generate_episode", counting)
+        monkeypatch.setattr(ev, "frame_from_obs", counting_frames)
         n = 3
         out = ev.run_transfer_eval({"a": model, "b": model}, dataset.spec, seed=4, n_episodes=n)
         assert len(calls) == 2 * n
+        # per task and episode: the true future once, then each model's prediction
+        future = dataset.spec.T - model.cfg.f_hist
+        assert len(frames) == 2 * n * future * (1 + 2)
         for task in ("target", "transfer"):
             assert out["a"][task] == out["b"][task]
 

@@ -155,9 +155,10 @@ class TestFdm:
         v = _tokens(cfg)
         tau = np.full(17, 0.3, F32)
         c = np.zeros((17, cfg.d_c), F32)
-        assert fdm_flow_predict(v, tau, c, model.fdm).shape == (17, cfg.d_v)
+        ctx = np.zeros(cfg.d_v, F32)
+        assert fdm_flow_predict(v, tau, c, model.fdm, v_ctx=ctx).shape == (17, cfg.d_v)
         with pytest.raises(ValueError):
-            fdm_flow_predict(v, tau, np.zeros((16, cfg.d_c), F32), model.fdm)
+            fdm_flow_predict(v, tau, np.zeros((16, cfg.d_c), F32), model.fdm, v_ctx=ctx)
 
     def test_zero_conditioning_reduces_to_unconditioned(self, cfg):
         # weight surgery: zero modulation bias => AdaLN(h, 0) = LN(h), so the
@@ -169,7 +170,7 @@ class TestFdm:
         v = _tokens(cfg)
         tau = np.full(17, 0.4, F32)
         c0 = np.zeros((17, cfg.d_c), F32)
-        got = fdm_flow_predict(v, tau, c0, fdm).data
+        got = fdm_flow_predict(v, tau, c0, fdm, v_ctx=np.zeros(cfg.d_v, F32)).data
 
         from latact.nn import time_embed
         temb = time_embed(tau, cfg.time_width)
@@ -191,11 +192,14 @@ class TestFdm:
         v = Tensor(rng.normal(0, 1, (5, 4)).astype(F32))
         tau = np.full(5, 0.6, F32)
         c = Tensor(rng.normal(0, 1, (5, 4)).astype(F32))
+        ctx = np.zeros(4, F32)
         err = gradcheck(
-            lambda t: (fdm_flow_predict(t, tau, c, model.fdm) ** 2).sum(), v, eps=1e-4)
+            lambda t: (fdm_flow_predict(t, tau, c, model.fdm, v_ctx=ctx) ** 2).sum(),
+            v, eps=1e-4)
         assert err < 1e-4
         err_c = gradcheck(
-            lambda t: (fdm_flow_predict(v, tau, t, model.fdm) ** 2).sum(), c, eps=1e-4)
+            lambda t: (fdm_flow_predict(v, tau, t, model.fdm, v_ctx=ctx) ** 2).sum(),
+            c, eps=1e-4)
         assert err_c < 1e-4
 
 
@@ -218,9 +222,11 @@ class TestRollout:
         v = _tokens(cfg)
         c = np.zeros((17, cfg.d_c), F32)
         with pytest.raises(ValueError):
-            rollout_generate(v[:5], c, model.fdm, stream(0, "r"), n_steps=0)
-        with pytest.raises(ValueError):
             rollout_generate(v, c, model.fdm, stream(0, "r"))
+
+    def test_zero_euler_steps_refused(self):
+        with pytest.raises(ValueError, match="n_euler_steps"):
+            ModelConfig(n_euler_steps=0)
 
 
 class TestDiscriminator:

@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import subspace_angles
 
 import latact.theory as th
+from latact.cli import VMF_PRESETS
 from latact.rng import stream
 from latact.theory import (
     bessel_I,
@@ -142,6 +143,16 @@ class TestVmfExperiment:
         assert np.abs(resid).max() < 1e-10
         assert np.linalg.matrix_rank(diffs, tol=1e-8) == exp.d_a - exp.d_z
 
+    @pytest.mark.parametrize("preset", sorted(VMF_PRESETS))
+    def test_cluster_points_unit_separated_and_spanning(self, preset):
+        p = VMF_PRESETS[preset]
+        n, d = p["n_embodiments"], p["d_a"] - p["d_z"]
+        pts = th._simplex_points(n, d)
+        np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
+        dist = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
+        assert dist[np.triu_indices(n, 1)].min() >= 1.0
+        assert np.linalg.matrix_rank(pts[1:] - pts[0], tol=1e-8) == d
+
     def test_data_shapes_and_balance(self):
         exp = make_vmf_experiment(seed=0)
         x, e = vmf_experiment_data(exp, 50, seed=0)
@@ -159,7 +170,8 @@ class TestVmfExperiment:
         # With rows of M spanning V_perp, z carries no class signal, so the
         # best achievable classifier CE is ln|E| (checked by training only
         # the classifier on frozen oracle features).
-        exp = make_vmf_experiment(seed=3, init_in_v_perp=True)
+        exp = make_vmf_experiment(seed=3)
+        exp.M = exp.V_perp.T.astype(np.float32)    # orthonormal rows spanning V_perp
         x, e = vmf_experiment_data(exp, 500, seed=3)
         z = x @ exp.M.T
         from latact.fitting import fit_logistic_probe
@@ -195,7 +207,7 @@ class TestSaddleChunks:
         assert reports[0] == reports[1]
         assert reports[0]["ok"]
         # per run: the held-out set, one full chunk, then the 50-step remainder
-        per_class = 256 // 4
+        per_class = th.SADDLE_BATCH // 4
         rest = steps - th.SADDLE_CHUNK
         assert calls[:3] == [(4, 100, 4), (4, th.SADDLE_CHUNK * per_class, 4),
                              (4, rest * per_class, 4)]
@@ -255,7 +267,7 @@ class TestLinearLemma:
 
     def test_shuffled_control_fails(self):
         spec = make_linear_dgp()
-        idm, _, _ = train_linear_idm_fdm(spec, steps=2000, seed=0)
+        idm, _ = train_linear_idm_fdm(spec, steps=2000, seed=0)
         x_t, x_n, a, _ = _collect_transitions(spec, 50, spec.T, 1)
         a_tilde = idm(np.hstack([x_t, x_n]))
         rng = stream(9, "shuffle")

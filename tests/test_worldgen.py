@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from latact import worldgen
 from latact.rng import stream
 from latact.worldgen import (
     DGPSpec,
+    decode_state,
     frame_from_obs,
     gain,
     generate_dataset,
@@ -28,7 +30,7 @@ def spec():
 
 
 def _frame(s, e, spec):
-    return frame_from_obs(render(s, e, spec), spec)[0]
+    return frame_from_obs(render(s, e, spec), spec)
 
 
 class TestUnifiedAction:
@@ -159,9 +161,14 @@ class TestRender:
 
     def test_out_of_range_state_clamps_and_flags(self, spec):
         x = render(np.array([50.0, 0, 0, 0], np.float32), 0, spec)
-        _, clipped = frame_from_obs(x, spec)
-        # tanh squashing bounds the decoded state, so extreme states saturate
-        assert isinstance(clipped, bool)
+        n = spec.frame_size
+        # tanh squashing bounds the decoded state, but not to the frame
+        pos = (decode_state(x, spec)[:2] + 1.5) / 3.0 * (n - 2)
+        assert np.any((pos < 0) | (pos > n - 2))
+        blob = np.argwhere(frame_from_obs(x, spec) == 1.0)
+        assert len(blob) == 4
+        assert np.array_equal(blob.max(axis=0) - blob.min(axis=0), [1, 1])
+        assert blob.min() >= 0 and blob.max() <= n - 1
 
 
 class TestEpisodes:
@@ -171,6 +178,12 @@ class TestEpisodes:
         np.testing.assert_array_equal(ep1.x, ep2.x)
         np.testing.assert_array_equal(ep1.a, ep2.a)
         assert ep1.lighting == ep2.lighting
+
+    def test_renders_no_frames(self, spec, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("generate_episode rendered a frame")
+        monkeypatch.setattr(worldgen, "frame_from_obs", refuse)
+        generate_episode(3, 1, 9, spec)
 
     def test_replay_reproduces_states(self, spec):
         ep = generate_episode(7, 2, 11, spec)
