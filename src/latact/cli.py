@@ -60,16 +60,17 @@ def _manifest(out_dir, command, cfg_hash, seed, files, started):
 
 def _load_model_dir(path):
     path = Path(path)
-    meta = json.loads((path / "model.json").read_text())
-    cfg_kwargs = dict(meta["model_cfg"])
-    for key, val in cfg_kwargs.items():
-        if isinstance(val, list):
-            cfg_kwargs[key] = tuple(val)
+    meta_path = path / "model.json"
     try:
-        cfg = ModelConfig(**cfg_kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path / 'model.json'}: bad model_cfg: {exc}") from exc
-    model = build_model(cfg, stream(meta["seed"], "model-init"),
+        meta = json.loads(meta_path.read_text())
+        cfg = ModelConfig(**{key: tuple(val) if isinstance(val, list) else val
+                             for key, val in meta["model_cfg"].items()})
+        seed = meta["seed"]
+    except KeyError as exc:
+        raise ValueError(f"{meta_path}: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{meta_path}: {exc}") from exc
+    model = build_model(cfg, stream(seed, "model-init"),
                         with_a2l=meta.get("with_a2l", False),
                         with_gtcond=meta.get("with_gtcond", False))
     model.load(load_checkpoint(path / "checkpoint.bin"))
@@ -207,9 +208,10 @@ def cmd_leakage(args):
     started = round(time.time(), 3)
     model, _ = _load_model_dir(args.checkpoint)
     dataset = load_dataset(args.data)
+    clf, val_acc = ev.train_frame_classifier(dataset, seed=args.seed)
+    ev.require_reliable_classifier(val_acc)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    clf, val_acc = ev.train_frame_classifier(dataset, seed=args.seed)
     rollouts = ev.leakage_rollouts(model, dataset, args.seed)
     report = ev.leakage_eval(rollouts, clf, val_acc)
     path = out_dir / "leakage.json"

@@ -15,7 +15,7 @@ from .models import (
     pad_actions,
     rollout_generate,
 )
-from .nn import Mlp, MlpSpec, init_linear
+from .nn import Mlp, init_linear
 from .optim import AdamW
 from .rng import stream
 from .worldgen import frame_from_obs, generate_episode, transfer_spec
@@ -25,6 +25,7 @@ F32 = np.float32
 PSNR_CAP_DB = 99.0
 SSIM_C1 = 0.01 ** 2
 SSIM_C2 = 0.03 ** 2
+CLASSIFIER_MIN_ACC = 0.9   # below this the leakage diagnostic is refused
 
 
 @dataclass
@@ -51,12 +52,15 @@ class LeakageReport:
 
 def ssim_global(a, b):
     """SSIM with whole-frame statistics (frames are smaller than the usual
-    11x11 window), constants for unit dynamic range."""
+    11x11 window), constants for unit dynamic range. Reduces over the last
+    two axes, so (..., H, W) stacks give one value per frame."""
     a = np.asarray(a, np.float64)
     b = np.asarray(b, np.float64)
-    mu_a, mu_b = a.mean(), b.mean()
-    va, vb = a.var(), b.var()
-    cov = ((a - mu_a) * (b - mu_b)).mean()
+    axes = (-2, -1)
+    mu_a, mu_b = a.mean(axes, keepdims=True), b.mean(axes, keepdims=True)
+    va, vb = a.var(axes), b.var(axes)
+    cov = ((a - mu_a) * (b - mu_b)).mean(axes)
+    mu_a, mu_b = mu_a[..., 0, 0], mu_b[..., 0, 0]
     num = (2 * mu_a * mu_b + SSIM_C1) * (2 * cov + SSIM_C2)
     den = (mu_a**2 + mu_b**2 + SSIM_C1) * (va + vb + SSIM_C2)
     return num / den
@@ -72,7 +76,7 @@ def image_metrics(pred_frames, true_frames):
         raise ValueError("expected a nonempty (n_frames, H, W) stack")
     mse = float(((pred - true) ** 2).mean())
     psnr = PSNR_CAP_DB if mse == 0 else min(10.0 * math.log10(1.0 / mse), PSNR_CAP_DB)
-    ssims = [ssim_global(p, t) for p, t in zip(pred, true)]
+    ssims = ssim_global(pred, true)
     return MetricRow(ssim=float(np.mean(ssims)), psnr=float(psnr),
                      mse=mse, ssim_l=float(ssims[-1]))
 
@@ -95,8 +99,9 @@ def rollout_episode(model, episode, rng, c_seq=None):
     return rollout_generate(episode.x[:f_hist].astype(F32), c_seq, model.fdm, rng)
 
 
-def frames_from_obs_seq(obs_seq, spec):
-    return np.stack([frame_from_obs(x, spec) for x in obs_seq])
+# `frame_from_obs` renders whole stacks; this name stays for callers outside
+# the package
+frames_from_obs_seq = frame_from_obs
 
 
 def eval_episodes(spec, seed, n_episodes, embodiment):
@@ -114,11 +119,11 @@ def evaluate_rollouts(models, episodes, spec, seed):
     token_mse = {name: [] for name in models}
     f_min = min(model.cfg.f_hist for model in models.values())
     for i, ep in enumerate(episodes):
-        true_frames = frames_from_obs_seq(ep.x[f_min:], spec)
+        true_frames = frame_from_obs(ep.x[f_min:], spec)
         for name, model in models.items():
             f_hist = model.cfg.f_hist
             pred = rollout_episode(model, ep, stream(seed, f"rollout:{i}"))
-            pred_frames = frames_from_obs_seq(pred[f_hist:], spec)
+            pred_frames = frame_from_obs(pred[f_hist:], spec)
             rows[name].append(image_metrics(pred_frames, true_frames[f_hist - f_min:]))
             token_mse[name].append(float(((pred[f_hist:] - ep.x[f_hist:]) ** 2).mean()))
     return rows, token_mse
@@ -161,7 +166,7 @@ class FrameClassifier:
     def __init__(self, n_classes, rng, frame_size=16):
         self.w_conv, self.b_conv = init_linear(rng, 9, self.channels)
         n_feat = (frame_size - 2) ** 2 * self.channels
-        self.head = Mlp(MlpSpec([n_feat, n_classes], activation="gelu"), rng)
+        self.head = Mlp([n_feat, n_classes], rng, activation="gelu")
 
     @staticmethod
     def _patches(frames):
@@ -194,13 +199,12 @@ def train_frame_classifier(dataset, seed=0):
     four random frames per dataset episode; returns (classifier, validation
     accuracy)."""
     rng = stream(seed, "frame-clf")
-    frames, labels = [], []
+    obs, labels = [], []
     for ep in dataset.episodes:
         picks = rng.choice(len(ep.x), size=min(4, len(ep.x)), replace=False)
-        for t in picks:
-            frames.append(frame_from_obs(ep.x[t], dataset.spec))
-            labels.append(ep.e)
-    frames = np.stack(frames).astype(F32)
+        obs.append(ep.x[picks])
+        labels += [ep.e] * len(picks)
+    frames = frame_from_obs(np.concatenate(obs), dataset.spec)
     labels = np.array(labels)
     perm = rng.permutation(len(frames))
     frames, labels = frames[perm], labels[perm]
@@ -236,18 +240,24 @@ def leakage_rollouts(model, dataset, seed, pairs_per_source=10):
             src = generate_episode(seed, e_s, spec.T, spec, index=20_000 + i)
             pred = rollout_episode(model, tgt, stream(seed, f"leak:{e_s}:{i}"),
                                    c_seq=_conditioning(model, src))
-            frames = frames_from_obs_seq(pred[model.cfg.f_hist:], spec)
+            frames = frame_from_obs(pred[model.cfg.f_hist:], spec)
             rollouts.append((frames, e_s, target_e))
     return rollouts
+
+
+def require_reliable_classifier(val_acc):
+    """Refuse a frame classifier whose validation accuracy is too low for
+    the leakage diagnostic to mean anything."""
+    if val_acc < CLASSIFIER_MIN_ACC:
+        raise ValueError(
+            f"frame classifier validation accuracy {val_acc:.3f} < {CLASSIFIER_MIN_ACC}; "
+            "leakage diagnostic unreliable")
 
 
 def leakage_eval(rollouts, classifier, val_acc):
     """Leakage metrics over predicted future frames only, averaged over
     source embodiments."""
-    if val_acc < 0.9:
-        raise ValueError(
-            f"frame classifier validation accuracy {val_acc:.3f} < 0.9; "
-            "leakage diagnostic unreliable")
+    require_reliable_classifier(val_acc)
     by_source = {}
     for frames, e_s, e_t in rollouts:
         p = classifier.probs(frames)

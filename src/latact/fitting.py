@@ -3,7 +3,7 @@
 import numpy as np
 
 from .autodiff import Tensor, softmax_cross_entropy
-from .nn import Mlp, MlpSpec
+from .nn import Mlp
 from .optim import AdamW
 from .rng import stream
 
@@ -50,7 +50,7 @@ def fit_mlp(x, y, steps=800, seed=0):
     x = np.asarray(x, F32)
     y = np.asarray(y, F32)
     rng = stream(seed, "fit-mlp")
-    mlp = Mlp(MlpSpec([x.shape[1], 32, 32, y.shape[1]]), rng)
+    mlp = Mlp([x.shape[1], 32, 32, y.shape[1]], rng)
     opt = AdamW(mlp.params(), lr=1e-2)
     n = len(x)
     for _ in range(steps):

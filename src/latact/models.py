@@ -16,7 +16,6 @@ from .autodiff import Tensor, concat, grl, reparam_sample
 from .nn import (
     CausalConvKernel,
     Mlp,
-    MlpSpec,
     ModulationWeights,
     adaln_modulate,
     causal_temporal_conv,
@@ -134,7 +133,7 @@ class IdmParams(_Component):
     def __init__(self, cfg, rng):
         self.cfg = cfg
         widths = [2 * cfg.d_v, *cfg.idm_hidden, 2 * cfg.d_z]
-        self.mlp = Mlp(MlpSpec(widths, activation="gelu"), rng)
+        self.mlp = Mlp(widths, rng, activation="gelu")
         self.cond_kernel = CausalConvKernel(cfg.d_z, cfg.d_c, rng)
 
     def _named(self):
@@ -175,7 +174,7 @@ class DiscParams(_Component):
     def __init__(self, cfg, rng):
         self.cfg = cfg
         widths = [cfg.d_z, *cfg.disc_hidden, cfg.n_embodiments]
-        self.mlp = Mlp(MlpSpec(widths, activation="gelu"), rng)
+        self.mlp = Mlp(widths, rng, activation="gelu")
 
     def _named(self):
         return dict(self.mlp.params())
@@ -186,11 +185,10 @@ class A2LParams(_Component):
 
     def __init__(self, cfg, rng):
         self.cfg = cfg
-        self.encoder = Mlp(MlpSpec([cfg.d_v, *cfg.a2l_hidden, cfg.a2l_memory],
-                                   activation="gelu"), rng)
+        self.encoder = Mlp([cfg.d_v, *cfg.a2l_hidden, cfg.a2l_memory], rng,
+                           activation="gelu")
         d_in = cfg.d_a_max + cfg.a2l_memory
-        self.decoder = Mlp(MlpSpec([d_in, *cfg.a2l_hidden, cfg.d_z],
-                                   activation="gelu"), rng)
+        self.decoder = Mlp([d_in, *cfg.a2l_hidden, cfg.d_z], rng, activation="gelu")
 
     def _named(self):
         named = {f"enc.{k}": t for k, t in self.encoder.params().items()}

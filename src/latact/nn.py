@@ -1,25 +1,9 @@
 """Neural building blocks: MLP stacks, AdaLN modulation, causal temporal
 convolution, sinusoidal time embedding."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import Tensor, concat, layer_norm
-
-
-@dataclass
-class MlpSpec:
-    widths: list            # input width first, output width last
-    activation: str = "tanh"
-
-    def __post_init__(self):
-        if len(self.widths) < 2:
-            raise ValueError("MlpSpec needs at least input and output widths")
-        if any(w <= 0 for w in self.widths):
-            raise ValueError("widths must be positive")
-        if self.activation not in ("tanh", "gelu"):
-            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 def init_linear(rng, fan_in, fan_out):
@@ -31,19 +15,24 @@ def init_linear(rng, fan_in, fan_out):
 
 
 class Mlp:
-    """Plain MLP; activation on all but the final layer."""
+    """Plain MLP over `widths`, input width first and output width last;
+    activation on all but the final layer."""
 
-    def __init__(self, spec, rng):
-        self.spec = spec
-        self.layers = [init_linear(rng, a, b)
-                       for a, b in zip(spec.widths[:-1], spec.widths[1:])]
+    def __init__(self, widths, rng, activation="tanh"):
+        if len(widths) < 2:
+            raise ValueError("Mlp needs at least input and output widths")
+        if any(w <= 0 for w in widths):
+            raise ValueError("widths must be positive")
+        if activation not in ("tanh", "gelu"):
+            raise ValueError(f"unknown activation {activation!r}")
+        self.act = Tensor.tanh if activation == "tanh" else Tensor.gelu
+        self.layers = [init_linear(rng, a, b) for a, b in zip(widths[:-1], widths[1:])]
 
     def __call__(self, x):
-        act = Tensor.tanh if self.spec.activation == "tanh" else Tensor.gelu
         for i, (w, b) in enumerate(self.layers):
             x = x @ w + b
             if i < len(self.layers) - 1:
-                x = act(x)
+                x = self.act(x)
         return x
 
     def params(self):

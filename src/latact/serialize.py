@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from .autodiff import DTYPE, Tensor
+from .autodiff import DTYPE
 
 MAGIC = b"SCAR"
 VERSION = 1
@@ -20,7 +20,7 @@ VERSION = 1
 
 def write_record(fh, name, arr):
     """Append one tensor record to a binary file handle."""
-    data = np.asarray(arr.data if isinstance(arr, Tensor) else arr, dtype=DTYPE)
+    data = np.asarray(arr, dtype=DTYPE)
     nb = name.encode("utf-8")
     fh.write(struct.pack("<H", len(nb)))
     fh.write(nb)
@@ -56,7 +56,7 @@ def read_record(fh, path, index):
 
 
 def save_checkpoint(path, tensors):
-    """Write a name -> Tensor/ndarray mapping. Keys are written sorted."""
+    """Write a name -> ndarray mapping. Keys are written sorted."""
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(tensors)))
@@ -82,13 +82,12 @@ def load_checkpoint(path):
 
 
 def checksum(tensors):
-    """Order-independent digest of a named tensor collection."""
+    """Order-independent digest of a name -> ndarray mapping."""
     import hashlib
 
     h = hashlib.sha256()
     for name in sorted(tensors):
-        t = tensors[name]
-        data = np.asarray(t.data if isinstance(t, Tensor) else t, dtype="<f4")
+        data = np.asarray(tensors[name], dtype="<f4")
         h.update(name.encode("utf-8"))
         h.update(data.tobytes())
     return h.hexdigest()

@@ -104,16 +104,17 @@ class Trajectory:
         assert self.a.shape[0] == T - 1 and self.u.shape[0] == T - 1 and self.s.shape[0] == T
 
 
-def sample_unified_action(rng, spec):
-    """u ~ Uniform[-1, 1]^d_u, independent of embodiment."""
-    return rng.uniform(-1.0, 1.0, spec.d_u).astype(F32)
+def sample_unified_action(rng, spec, n):
+    """n rows of u ~ Uniform[-1, 1]^d_u, independent of embodiment: (n, d_u)."""
+    return rng.uniform(-1.0, 1.0, (n, spec.d_u)).astype(F32)
 
 
 def realize_action(u, e, spec):
-    """a = Q_e u + b_e, optionally squashed; injective in u for fixed e."""
+    """a = Q_e u + b_e per row of u (..., d_u), optionally squashed;
+    injective in u for fixed e."""
     if e not in spec.embodiments:
         raise ValueError(f"unknown embodiment {e}")
-    a = spec.Q[e] @ np.asarray(u, F32) + spec.b[e]
+    a = np.asarray(u, F32) @ spec.Q[e].T + spec.b[e]
     if spec.action_squash:
         a = np.tanh(a)
     return a.astype(F32)
@@ -136,13 +137,14 @@ def step_dynamics(s, a, spec):
 
 
 def render(s, e, spec, lighting=0.0):
-    """x = squash(P s) on the state block; nuisance block = n_e + lighting."""
+    """x = squash(P s) on the state block; nuisance block = n_e + lighting.
+    States (..., d_s) give observations (..., d_x)."""
     s = np.asarray(s, F32)
-    proj = spec.P @ s
+    proj = s @ spec.P.T
     state_obs = np.tanh(proj) if spec.squash else proj
-    x = np.empty(spec.d_x, F32)
-    x[: spec.d_x - spec.nuisance_dim] = state_obs
-    x[spec.d_x - spec.nuisance_dim:] = spec.nuisance_codes[e] + F32(lighting)
+    x = np.empty(s.shape[:-1] + (spec.d_x,), F32)
+    x[..., : spec.d_x - spec.nuisance_dim] = state_obs
+    x[..., spec.d_x - spec.nuisance_dim:] = spec.nuisance_codes[e] + F32(lighting)
     return x
 
 
@@ -168,20 +170,22 @@ _GLYPH_PIX = [(0, 0), (0, 1), (1, 0)]  # top-left corner pixels, one per nuisanc
 
 
 def frame_from_obs(x, spec):
-    """Rasterize an observation: agent blob from the decoded state, glyph
-    pixels from the nuisance block. Pure function of x; a blob position off
-    the frame is clamped to its edge."""
+    """Rasterize observations (..., d_x) into frames (..., n, n): agent blob
+    from the decoded state, then glyph pixels from the nuisance block, so a
+    glyph pixel overwrites the blob. Pure function of x; a blob position off
+    the frame is clamped to its edge, and a half position rounds to even."""
     n = spec.frame_size
-    frame = np.zeros((n, n), F32)
-    s = decode_state(x, spec)
-    pos = []
-    for coord in s[:2]:
-        p = (coord + 1.5) / 3.0 * (n - 2)
-        pos.append(int(round(min(max(p, 0), n - 2))))
-    frame[pos[1]:pos[1] + 2, pos[0]:pos[0] + 2] = 1.0
+    p = (decode_state(x, spec)[..., :2] + 1.5) / 3.0 * (n - 2)
+    if np.isnan(p).any():
+        raise ValueError("observation decodes to a NaN state; no blob position")
+    pos = np.rint(np.clip(p, 0, n - 2)).astype(int)
+    idx = np.arange(n)
+    rows = (idx >= pos[..., 1:2]) & (idx < pos[..., 1:2] + 2)
+    cols = (idx >= pos[..., 0:1]) & (idx < pos[..., 0:1] + 2)
+    frame = (rows[..., :, None] & cols[..., None, :]).astype(F32)
     nuis = obs_nuisance_block(x, spec)
     for k, (i, j) in enumerate(_GLYPH_PIX[: spec.nuisance_dim]):
-        frame[i, j] = np.clip(0.5 + 0.5 * nuis[k], 0.0, 1.0)
+        frame[..., i, j] = np.clip(0.5 + 0.5 * nuis[..., k], 0.0, 1.0)
     return frame
 
 
@@ -192,16 +196,12 @@ def generate_episode(seed, e, T, spec, index=0):
     rng = stream(seed, f"episode:{e}:{index}")
     lighting = float(rng.uniform(-spec.lighting_scale, spec.lighting_scale))
     s = np.empty((T, spec.d_s), F32)
-    x = np.empty((T, spec.d_x), F32)
-    u = np.empty((T - 1, spec.d_u), F32)
-    a = np.empty((T - 1, spec.d_a), F32)
     s[0] = rng.normal(0, 0.5, spec.d_s)
+    u = sample_unified_action(rng, spec, T - 1)
+    a = realize_action(u, e, spec)
     for t in range(T - 1):
-        u[t] = sample_unified_action(rng, spec)
-        a[t] = realize_action(u[t], e, spec)
         s[t + 1] = step_dynamics(s[t], a[t], spec)
-    for t in range(T):
-        x[t] = render(s[t], e, spec, lighting)
+    x = render(s, e, spec, lighting)
     return Trajectory(x=x, a=a, e=e, u=u, s=s, lighting=lighting)
 
 
@@ -258,9 +258,17 @@ def load_dataset(path):
     so files that also store a per-episode clip flag there still load."""
     with open(path, "rb") as fh:
         (hlen,) = struct.unpack("<I", read_exact(fh, 4, path, "header length"))
-        header = json.loads(read_exact(fh, hlen, path, "header").decode())
-        spec = DGPSpec(**header["spec"])
-        if spec.spec_hash() != header["spec_hash"]:
+        raw = read_exact(fh, hlen, path, "header")
+        try:
+            header = json.loads(raw.decode())
+            spec = DGPSpec(**header["spec"])
+            n_episodes, spec_hash = header["n_episodes"], header["spec_hash"]
+            target_e = header["target_e"]
+        except KeyError as exc:
+            raise ValueError(f"{path}: dataset header missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad dataset header: {exc}") from exc
+        if spec.spec_hash() != spec_hash:
             raise ValueError(f"{path}: dataset header hash mismatch")
         records = {}
         while True:
@@ -268,17 +276,17 @@ def load_dataset(path):
             if name is None:
                 break
             records[name] = vals
-    n_records = header["n_episodes"] * len(_EPISODE_RECORDS)
+    n_records = n_episodes * len(_EPISODE_RECORDS)
     if len(records) != n_records:
         raise ValueError(f"{path}: holds {len(records)} records, header promises {n_records}")
     episodes = []
-    for i in range(header["n_episodes"]):
+    for i in range(n_episodes):
         p = f"ep{i:05d}"
         meta = records[f"{p}.meta"]
         episodes.append(Trajectory(
             x=records[f"{p}.x"], a=records[f"{p}.a"], u=records[f"{p}.u"],
             s=records[f"{p}.s"], e=int(meta[0]), lighting=float(meta[1])))
-    return Dataset(spec=spec, episodes=episodes, target_e=header["target_e"])
+    return Dataset(spec=spec, episodes=episodes, target_e=target_e)
 
 
 def transfer_spec(spec):
@@ -298,6 +306,10 @@ def vmf_sample(center, kappa, n, rng):
     with out[i] drawn around center[i]. All k*n radial parts come from one
     rejection loop, then one (k, n, d) normal block supplies the tangents,
     so a one-center call draws exactly what a (1, d) stack draws.
+
+    kappa = 0 needs no branch: the envelope then accepts every draw, and
+    w = 1 - 2z with z ~ Beta((d-1)/2, (d-1)/2) is the radial law of the
+    uniform sphere.
     """
     center = np.asarray(center, np.float64)
     if kappa < 0:
@@ -308,16 +320,12 @@ def vmf_sample(center, kappa, n, rng):
         raise ValueError("every center must be unit norm")
     centers = center.reshape(-1, center.shape[-1])    # (k, d)
     k, d = centers.shape
-    if kappa == 0:
-        v = rng.normal(size=(k, n, d))
-        out = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    else:
-        ws = _vmf_radial(kappa, d, k * n, rng).reshape(k, n, 1)
-        # tangential directions orthogonal to each row's own center
-        v = rng.normal(size=(k, n, d))
-        v -= np.matmul(v, centers[:, :, None]) * centers[:, None, :]
-        v /= np.linalg.norm(v, axis=-1, keepdims=True)
-        out = ws * centers[:, None, :] + np.sqrt(1.0 - ws ** 2) * v
+    ws = _vmf_radial(kappa, d, k * n, rng).reshape(k, n, 1)
+    # tangential directions orthogonal to each row's own center
+    v = rng.normal(size=(k, n, d))
+    v -= np.matmul(v, centers[:, :, None]) * centers[:, None, :]
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    out = ws * centers[:, None, :] + np.sqrt(1.0 - ws ** 2) * v
     return out.reshape(center.shape[:-1] + (n, d)).astype(F32)
 
 

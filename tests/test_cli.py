@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from latact import evaluate as ev
 from latact.cli import main, make_parser
 from latact.serialize import load_checkpoint, read_record, write_record
 from latact.training import VARIANTS
@@ -205,6 +206,16 @@ class TestTrain:
         assert "scar-maximal" in capsys.readouterr().err
 
 
+def _edit_header(src, dst, edit):
+    """Copy a dataset file with its JSON header changed by `edit`."""
+    raw = src.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[:4])
+    header = json.loads(raw[4:4 + hlen])
+    edit(header)
+    hb = json.dumps(header).encode()
+    dst.write_bytes(struct.pack("<I", len(hb)) + hb + raw[4 + hlen:])
+
+
 class TestEvalProbe:
     def test_eval_outputs(self, workdir, tmp_path):
         out = tmp_path / "ev"
@@ -234,14 +245,57 @@ class TestEvalProbe:
                     "mi_lower_bound"):
             assert key in rep
 
-    def test_leakage_refuses_on_tiny_dataset(self, workdir, tmp_path, capsys):
+    def test_leakage_refuses_on_tiny_dataset(self, workdir, tmp_path, capsys, monkeypatch):
         # 16 episodes are too few for a reliable frame classifier; the
-        # command must refuse rather than emit an untrustworthy report
+        # command must refuse rather than emit an untrustworthy report, and
+        # refuse before it runs any rollout or creates its output directory
+        calls = []
+        monkeypatch.setattr(ev, "leakage_rollouts", lambda *a, **k: calls.append(a))
         rc = main(["leakage", "--checkpoint", str(workdir / "run"),
                    "--data", str(workdir / "data" / "dataset.bin"),
                    "--out", str(tmp_path / "lk")])
         assert rc == 1
         assert "0.9" in capsys.readouterr().err
+        assert not (tmp_path / "lk").exists()
+        assert calls == []
+
+    def _probe_fails(self, run, data, tmp_path, capsys):
+        rc = main(["probe", "--checkpoint", str(run), "--data", str(data),
+                   "--out", str(tmp_path / "pr")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        return err
+
+    def test_dataset_header_unknown_spec_key_names_the_file(self, workdir, tmp_path, capsys):
+        data = tmp_path / "odd-spec.bin"
+        _edit_header(workdir / "data" / "dataset.bin", data,
+                     lambda h: h["spec"].update(warp_factor=9))
+        err = self._probe_fails(workdir / "run", data, tmp_path, capsys)
+        assert str(data) in err and "warp_factor" in err
+
+    @pytest.mark.parametrize("key", ["spec", "n_episodes"])
+    def test_dataset_header_missing_key_names_the_file(self, workdir, tmp_path, capsys, key):
+        data = tmp_path / "no-key.bin"
+        _edit_header(workdir / "data" / "dataset.bin", data, lambda h: h.pop(key))
+        err = self._probe_fails(workdir / "run", data, tmp_path, capsys)
+        assert str(data) in err and repr(key) in err
+
+    def test_model_json_without_model_cfg_names_the_file(self, workdir, tmp_path, capsys):
+        run = tmp_path / "no-cfg"
+        shutil.copytree(workdir / "run", run)
+        meta = json.loads((run / "model.json").read_text())
+        del meta["model_cfg"]
+        (run / "model.json").write_text(json.dumps(meta))
+        err = self._probe_fails(run, workdir / "data" / "dataset.bin", tmp_path, capsys)
+        assert str(run / "model.json") in err and "'model_cfg'" in err
+
+    def test_model_json_not_json_names_the_file(self, workdir, tmp_path, capsys):
+        run = tmp_path / "not-json"
+        shutil.copytree(workdir / "run", run)
+        (run / "model.json").write_text("checkpoint.bin\n")
+        err = self._probe_fails(run, workdir / "data" / "dataset.bin", tmp_path, capsys)
+        assert str(run / "model.json") in err
 
     def test_stale_model_json_names_the_file(self, workdir, tmp_path, capsys):
         run = tmp_path / "stale"

@@ -67,6 +67,20 @@ class TestImageMetrics:
             b = rng.uniform(0, 1, (16, 16))
             assert ssim_global(a, b) == pytest.approx(_ssim_oracle(a, b), abs=1e-12)
 
+    def test_stack_matches_per_frame_calls(self):
+        spec = DGPSpec()
+        eps = eval_episodes(spec, 6, 4, 0)
+        true = frame_from_obs(np.stack([ep.x for ep in eps]), spec)   # (4, T, n, n)
+        pred = frame_from_obs(np.stack([3 * ep.x for ep in eps]), spec)
+        pred[1, 2] = true[1, 2]
+        got = ssim_global(pred, true)
+        assert got.shape == true.shape[:2]
+        for i, j in np.ndindex(*got.shape):
+            assert got[i, j] == ssim_global(pred[i, j], true[i, j])
+        row = image_metrics(pred[0], true[0])
+        assert row.ssim == np.mean([ssim_global(p, t) for p, t in zip(pred[0], true[0])])
+        assert row.ssim_l == ssim_global(pred[0, -1], true[0, -1])
+
     def test_constant_mean_prediction_low_ssim(self):
         rng = stream(4, "img-const")
         true = rng.uniform(0, 1, (16, 16))
@@ -202,16 +216,17 @@ class TestTransferEval:
             return generate_episode(*args, **kwargs)
 
         def counting_frames(*args):
-            frames.append(args)
+            frames.append(len(args[0]))
             return frame_from_obs(*args)
         monkeypatch.setattr(ev, "generate_episode", counting)
         monkeypatch.setattr(ev, "frame_from_obs", counting_frames)
         n = 3
         out = ev.run_transfer_eval({"a": model, "b": model}, dataset.spec, seed=4, n_episodes=n)
         assert len(calls) == 2 * n
-        # per task and episode: the true future once, then each model's prediction
+        # per task and episode: the true future once, then each model's
+        # prediction, each rendered as one stack
         future = dataset.spec.T - model.cfg.f_hist
-        assert len(frames) == 2 * n * future * (1 + 2)
+        assert frames == [future] * (2 * n * (1 + 2))
         for task in ("target", "transfer"):
             assert out["a"][task] == out["b"][task]
 

@@ -5,7 +5,6 @@ from latact.autodiff import Tensor, gradcheck
 from latact.nn import (
     CausalConvKernel,
     Mlp,
-    MlpSpec,
     ModulationWeights,
     adaln_modulate,
     causal_temporal_conv,
@@ -161,16 +160,16 @@ class TestTimeEmbed:
 
 
 def test_mlp_spec_validation_and_gradcheck():
-    with pytest.raises(ValueError):
-        MlpSpec(widths=[4])
-    with pytest.raises(ValueError):
-        MlpSpec(widths=[4, -1])
-    with pytest.raises(ValueError):
-        MlpSpec(widths=[4, 4], activation="relu6")
-
     rng = stream(7, "test-mlp")
+    with pytest.raises(ValueError):
+        Mlp([4], rng)
+    with pytest.raises(ValueError):
+        Mlp([4, -1], rng)
+    with pytest.raises(ValueError):
+        Mlp([4, 4], rng, activation="relu6")
+
     for act in ("tanh", "gelu"):
-        mlp = Mlp(MlpSpec([3, 8, 2], activation=act), rng)
+        mlp = Mlp([3, 8, 2], rng, activation=act)
         x = Tensor(rng.normal(size=(4, 3)).astype(np.float32))
         assert mlp(x).shape == (4, 2)
         assert gradcheck(lambda t: (mlp(t) ** 2).sum(), x, eps=1e-4) < 1e-4
@@ -180,18 +179,17 @@ def test_mlp_spec_validation_and_gradcheck():
 
 def _mlp_with_w0(mlp, w0):
     def run(x):
-        act = Tensor.tanh if mlp.spec.activation == "tanh" else Tensor.gelu
         layers = [(w0, mlp.layers[0][1])] + mlp.layers[1:]
         for i, (w, b) in enumerate(layers):
             x = x @ w + b
             if i < len(layers) - 1:
-                x = act(x)
+                x = mlp.act(x)
         return x
     return run
 
 
 def test_init_bounds():
     rng = stream(9, "test-init")
-    mlp = Mlp(MlpSpec([16, 8]), rng)
+    mlp = Mlp([16, 8], rng)
     w = mlp.layers[0][0].data
     assert np.abs(w).max() <= 1.0 / np.sqrt(16) + 1e-7

@@ -6,6 +6,7 @@ from scipy import stats
 
 from latact import worldgen
 from latact.rng import stream
+from latact.theory import make_linear_dgp
 from latact.worldgen import (
     DGPSpec,
     decode_state,
@@ -14,6 +15,7 @@ from latact.worldgen import (
     generate_dataset,
     generate_episode,
     load_dataset,
+    obs_nuisance_block,
     realize_action,
     render,
     sample_unified_action,
@@ -35,8 +37,9 @@ def _frame(s, e, spec):
 
 class TestUnifiedAction:
     def test_reproducible(self, spec):
-        u1 = sample_unified_action(stream(3, "u"), spec)
-        u2 = sample_unified_action(stream(3, "u"), spec)
+        u1 = sample_unified_action(stream(3, "u"), spec, 5)
+        u2 = sample_unified_action(stream(3, "u"), spec, 5)
+        assert u1.shape == (5, spec.d_u)
         np.testing.assert_array_equal(u1, u2)
 
     def test_mean_within_clt_bound(self, spec):
@@ -51,7 +54,7 @@ class TestUnifiedAction:
         rng = stream(1, "u-indep")
         n = 20_000
         es = rng.integers(0, spec.n_embodiments, n)
-        us = np.array([sample_unified_action(rng, spec) for _ in range(n)])
+        us = sample_unified_action(rng, spec, n)
         bins = np.digitize(us[:, 0], [-0.5, 0.0, 0.5])
         table = np.zeros((4, spec.n_embodiments))
         for b, e in zip(bins, es):
@@ -171,7 +174,86 @@ class TestRender:
         assert blob.min() >= 0 and blob.max() <= n - 1
 
 
+def _reference_frame(x, spec):
+    # inline copy of the one-frame rasterizer the stacked one replaced
+    n = spec.frame_size
+    frame = np.zeros((n, n), np.float32)
+    s = decode_state(x, spec)
+    pos = []
+    for coord in s[:2]:
+        p = (coord + 1.5) / 3.0 * (n - 2)
+        pos.append(int(round(min(max(p, 0), n - 2))))
+    frame[pos[1]:pos[1] + 2, pos[0]:pos[0] + 2] = 1.0
+    nuis = obs_nuisance_block(x, spec)
+    for k, (i, j) in enumerate([(0, 0), (0, 1), (1, 0)][: spec.nuisance_dim]):
+        frame[i, j] = np.clip(0.5 + 0.5 * nuis[k], 0.0, 1.0)
+    return frame
+
+
+class TestStackedFrames:
+    def test_stack_matches_per_frame_reference(self, spec):
+        eps = [generate_episode(11, e, spec.T, spec, index=i)
+               for e in spec.embodiments for i in range(3)]
+        # states as generated, scaled x3 (off the frame on some axes), and
+        # pinned to the top-left corner, where the blob meets the glyph
+        corner = np.zeros_like(eps[0].s)
+        corner[:, :2] = -1.5
+        states = np.stack([ep.s for ep in eps] + [3 * ep.s for ep in eps] + [corner])
+        x = np.stack([render(s, i % spec.n_embodiments, spec, lighting=0.05)
+                      for i, s in enumerate(states)])        # (k, T, d_x)
+        frames = frame_from_obs(x, spec)
+        assert frames.shape == x.shape[:2] + (spec.frame_size, spec.frame_size)
+        assert frames.dtype == np.float32
+        for i, j in np.ndindex(*x.shape[:2]):
+            np.testing.assert_array_equal(frames[i, j], _reference_frame(x[i, j], spec))
+        assert frames[-1, :, 0, 0].max() < 1.0      # glyph pixel drawn over the blob
+        np.testing.assert_array_equal(frames[-1, :, 1, 1], 1.0)
+
+    def test_nan_observation_refused(self, spec):
+        x = render(np.zeros((3, spec.d_s), np.float32), 0, spec)
+        x[1, 0] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            frame_from_obs(x, spec)
+
+
+def _reference_episode(seed, e, T, spec, index):
+    # inline copy of the per-step generator the vectorised one replaced
+    rng = stream(seed, f"episode:{e}:{index}")
+    lighting = float(rng.uniform(-spec.lighting_scale, spec.lighting_scale))
+    s = np.empty((T, spec.d_s), np.float32)
+    x = np.empty((T, spec.d_x), np.float32)
+    u = np.empty((T - 1, spec.d_u), np.float32)
+    a = np.empty((T - 1, spec.d_a), np.float32)
+    s[0] = rng.normal(0, 0.5, spec.d_s)
+    for t in range(T - 1):
+        u[t] = rng.uniform(-1.0, 1.0, spec.d_u).astype(np.float32)
+        a_t = spec.Q[e] @ u[t] + spec.b[e]
+        a[t] = np.tanh(a_t) if spec.action_squash else a_t
+        s[t + 1] = step_dynamics(s[t], a[t], spec)
+    k = spec.d_x - spec.nuisance_dim
+    for t in range(T):
+        proj = spec.P @ s[t]
+        x[t, :k] = np.tanh(proj) if spec.squash else proj
+        x[t, k:] = spec.nuisance_codes[e] + np.float32(lighting)
+    return x, a, u, s, lighting
+
+
 class TestEpisodes:
+    @pytest.mark.parametrize("make_spec", [
+        DGPSpec, lambda: transfer_spec(DGPSpec()), make_linear_dgp,
+        lambda: DGPSpec(action_squash=True)],
+        ids=["default", "transfer", "linear", "action-squash"])
+    def test_matches_per_step_reference(self, make_spec):
+        spec = make_spec()
+        for e in spec.embodiments:
+            for index in (0, 1, 10_000):
+                ep = generate_episode(5, e, spec.T, spec, index=index)
+                x, a, u, s, lighting = _reference_episode(5, e, spec.T, spec, index)
+                for got, want in ((ep.x, x), (ep.a, a), (ep.u, u), (ep.s, s)):
+                    assert got.dtype == np.float32
+                    np.testing.assert_array_equal(got, want)
+                assert ep.lighting == lighting
+
     def test_bit_identical_regeneration(self, spec):
         ep1 = generate_episode(42, 1, 9, spec)
         ep2 = generate_episode(42, 1, 9, spec)
