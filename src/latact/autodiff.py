@@ -2,8 +2,10 @@
 
 Tape-based: every operation records its parents and a backward closure;
 ``Tensor.backward()`` runs a topological sweep. First-order only, rebuilt
-per forward pass.
+per forward pass. Under ``no_grad()`` nothing is recorded.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -12,6 +14,32 @@ DTYPE = np.float32
 # When True every op checks its output for NaN/inf and raises NonFiniteError
 # naming the op that produced it. Enabled by gradcheck.
 CHECK_FINITE = False
+
+# When False (inside `no_grad()`) ops record no parents and no backward
+# closure, so each intermediate is freed as soon as nothing else holds it.
+GRAD_ENABLED = True
+
+# Absolute floor of gradcheck's denominator: a near-zero gradient is judged
+# by its absolute error, which central-difference truncation dominates.
+GRADCHECK_FLOOR = 1e-3
+
+
+@contextmanager
+def engine_flags(**values):
+    """Set the module flags named (DTYPE, CHECK_FINITE, GRAD_ENABLED) for
+    the block and restore their previous values on exit, error or not."""
+    g = globals()
+    saved = {name: g[name] for name in values}
+    g.update(values)
+    try:
+        yield
+    finally:
+        g.update(saved)
+
+
+def no_grad():
+    """Context in which no op builds a tape: for forward-only passes."""
+    return engine_flags(GRAD_ENABLED=False)
 
 
 class NonFiniteError(FloatingPointError):
@@ -49,12 +77,17 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op")
 
-    def __init__(self, data, requires_grad=False, _parents=(), op="leaf"):
+    def __init__(self, data, requires_grad=False, _parents=(), op="leaf", _backward=None):
         self.data = np.asarray(data, dtype=DTYPE)  # module DTYPE read at creation time
         self.grad = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
-        self._parents = _parents
-        self._backward = None    # an op sets its backward closure after creation
+        if GRAD_ENABLED:
+            self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
+            self._parents = _parents
+            self._backward = _backward
+        else:
+            self.requires_grad = requires_grad
+            self._parents = ()
+            self._backward = None
         self.op = op
         if CHECK_FINITE and not np.all(np.isfinite(self.data)):
             raise NonFiniteError(op)
@@ -106,40 +139,33 @@ class Tensor:
 
     def __add__(self, other):
         other = self._lift(other)
-        out = Tensor(self.data + other.data, _parents=(self, other), op="add")
 
         def bw(g):
             if self.requires_grad:
                 self._accum(_unbroadcast(g, self.shape))
             if other.requires_grad:
                 other._accum(_unbroadcast(g, other.shape))
-        out._backward = bw
-        return out
+        return Tensor(self.data + other.data, _parents=(self, other), op="add", _backward=bw)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         other = self._lift(other)
-        out = Tensor(self.data * other.data, _parents=(self, other), op="mul")
 
         def bw(g):
             if self.requires_grad:
                 self._accum(_unbroadcast(g * other.data, self.shape))
             if other.requires_grad:
                 other._accum(_unbroadcast(g * self.data, other.shape))
-        out._backward = bw
-        return out
+        return Tensor(self.data * other.data, _parents=(self, other), op="mul", _backward=bw)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        out = Tensor(-self.data, _parents=(self,), op="neg")
-
         def bw(g):
             if self.requires_grad:
                 self._accum(-g)
-        out._backward = bw
-        return out
+        return Tensor(-self.data, _parents=(self,), op="neg", _backward=bw)
 
     def __sub__(self, other):
         return self + (-self._lift(other))
@@ -149,34 +175,29 @@ class Tensor:
 
     def __truediv__(self, other):
         other = self._lift(other)
-        out = Tensor(self.data / other.data, _parents=(self, other), op="div")
 
         def bw(g):
             if self.requires_grad:
                 self._accum(_unbroadcast(g / other.data, self.shape))
             if other.requires_grad:
                 other._accum(_unbroadcast(-g * self.data / (other.data ** 2), other.shape))
-        out._backward = bw
-        return out
+        return Tensor(self.data / other.data, _parents=(self, other), op="div", _backward=bw)
 
     def __rtruediv__(self, other):
         return self._lift(other) / self
 
     def __pow__(self, p):
         assert isinstance(p, (int, float)), "only scalar exponents"
-        out = Tensor(self.data ** p, _parents=(self,), op="pow")
 
         def bw(g):
             if self.requires_grad:
                 self._accum(g * p * self.data ** (p - 1))
-        out._backward = bw
-        return out
+        return Tensor(self.data ** p, _parents=(self,), op="pow", _backward=bw)
 
     def __matmul__(self, other):
         """x @ W with W two-dimensional; x may carry leading batch axes."""
         other = self._lift(other)
         assert other.data.ndim == 2, "right matmul operand must be 2-D"
-        out = Tensor(self.data @ other.data, _parents=(self, other), op="matmul")
 
         def bw(g):
             if self.requires_grad:
@@ -184,40 +205,30 @@ class Tensor:
             if other.requires_grad:
                 n = other.data.shape[0]
                 other._accum(self.data.reshape(-1, n).T @ g.reshape(-1, g.shape[-1]))
-        out._backward = bw
-        return out
+        return Tensor(self.data @ other.data, _parents=(self, other), op="matmul", _backward=bw)
 
     # ---- shape ----
 
     def reshape(self, *shape):
-        out = Tensor(self.data.reshape(*shape), _parents=(self,), op="reshape")
-
         def bw(g):
             if self.requires_grad:
                 self._accum(g.reshape(self.shape))
-        out._backward = bw
-        return out
+        return Tensor(self.data.reshape(*shape), _parents=(self,), op="reshape", _backward=bw)
 
     def __getitem__(self, idx):
-        out = Tensor(self.data[idx], _parents=(self,), op="slice")
-        basic = _is_basic_index(idx)
-
         def bw(g):
             if self.requires_grad:
                 full = np.zeros(self.shape, dtype=DTYPE)
-                if basic:
+                if _is_basic_index(idx):
                     full[idx] = g
                 else:
                     np.add.at(full, idx, g)  # repeated fancy indices accumulate
                 self._accum(full)
-        out._backward = bw
-        return out
+        return Tensor(self.data[idx], _parents=(self,), op="slice", _backward=bw)
 
     # ---- reductions ----
 
     def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), _parents=(self,), op="sum")
-
         def bw(g):
             if not self.requires_grad:
                 return
@@ -226,8 +237,8 @@ class Tensor:
             else:
                 gg = g if keepdims else np.expand_dims(g, axis)
                 self._accum(np.broadcast_to(gg, self.shape))
-        out._backward = bw
-        return out
+        return Tensor(self.data.sum(axis=axis, keepdims=keepdims), _parents=(self,), op="sum",
+                      _backward=bw)
 
     def mean(self, axis=None, keepdims=False):
         n = self.size if axis is None else self.shape[axis]
@@ -236,49 +247,59 @@ class Tensor:
     # ---- elementwise ----
 
     def exp(self):
-        out = Tensor(np.exp(self.data), _parents=(self,), op="exp")
-        y = out.data  # not `out`: a closure holding its own node is a cycle
+        y = np.exp(self.data)
 
         def bw(g):
             if self.requires_grad:
                 self._accum(g * y)
-        out._backward = bw
-        return out
+        return Tensor(y, _parents=(self,), op="exp", _backward=bw)
 
     def log(self):
-        out = Tensor(np.log(self.data), _parents=(self,), op="log")
-
         def bw(g):
             if self.requires_grad:
                 self._accum(g / self.data)
-        out._backward = bw
-        return out
+        return Tensor(np.log(self.data), _parents=(self,), op="log", _backward=bw)
 
     def tanh(self):
-        out = Tensor(np.tanh(self.data), _parents=(self,), op="tanh")
-        y = out.data  # not `out`: a closure holding its own node is a cycle
+        y = np.tanh(self.data)
 
         def bw(g):
             if self.requires_grad:
                 self._accum(g * (1.0 - y ** 2))
-        out._backward = bw
-        return out
+        return Tensor(y, _parents=(self,), op="tanh", _backward=bw)
 
     def gelu(self):
-        """tanh-approximation GELU."""
+        """tanh-approximation GELU. Both passes work in place on two or three
+        buffers, in the operation order of the plain expressions, so the bits
+        are theirs without their full-size temporaries."""
         c = np.float32(np.sqrt(2.0 / np.pi))
         x = self.data
-        inner = c * (x + 0.044715 * (x * x * x))  # float32 `x ** 3` is slow and value-dependent
-        t = np.tanh(inner)
-        out = Tensor(0.5 * x * (1.0 + t), _parents=(self,), op="gelu")
+        t = x * x
+        t *= x                                  # float32 `x ** 3` is slow and value-dependent
+        t *= 0.044715
+        t += x
+        t *= c
+        np.tanh(t, out=t)
+        y = 1.0 + t
+        y *= 0.5 * x
 
         def bw(g):
             if self.requires_grad:
-                dinner = c * (1.0 + 3 * 0.044715 * x ** 2)
-                d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * dinner
-                self._accum(g * d)
-        out._backward = bw
-        return out
+                d = t * t
+                np.subtract(1.0, d, out=d)
+                buf = x * 0.5
+                d *= buf                        # 0.5 x (1 - t^2)
+                np.multiply(x, x, out=buf)
+                buf *= 3 * 0.044715
+                buf += 1.0
+                buf *= c
+                d *= buf                        # times c (1 + 3 0.044715 x^2)
+                np.add(t, 1.0, out=buf)
+                buf *= 0.5
+                d += buf                        # plus 0.5 (1 + t)
+                d *= g
+                self._accum(d)
+        return Tensor(y, _parents=(self,), op="gelu", _backward=bw)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op}, grad={'set' if self.grad is not None else 'unset'})"
@@ -287,32 +308,26 @@ class Tensor:
 # ---- free functions ----
 
 def concat(tensors, axis=0):
-    datas = [t.data for t in tensors]
-    out = Tensor(np.concatenate(datas, axis=axis), _parents=tuple(tensors), op="concat")
-    sizes = [d.shape[axis] for d in datas]
-    offsets = np.cumsum([0] + sizes)
-
     def bw(g):
+        offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
         for t, a, b in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(a, b)
                 t._accum(g[tuple(sl)])
-    out._backward = bw
-    return out
+    return Tensor(np.concatenate([t.data for t in tensors], axis=axis),
+                  _parents=tuple(tensors), op="concat", _backward=bw)
 
 
 def grl(x, alpha):
     """Gradient reversal: identity forward, backward scales incoming grad by -alpha."""
     if alpha < 0:
         raise ValueError("grl strength must be >= 0")
-    out = Tensor(x.data, _parents=(x,), op="grl")
 
     def bw(g):
         if x.requires_grad:
             x._accum(-alpha * g)
-    out._backward = bw
-    return out
+    return Tensor(x.data, _parents=(x,), op="grl", _backward=bw)
 
 
 def reparam_sample(mu, sigma, eps):
@@ -354,15 +369,13 @@ def softmax_cross_entropy(logits, labels):
     logp = z - lse
     n = flat_labels.shape[0]
     ce = -logp[np.arange(n), flat_labels].mean()
-    out = Tensor(ce, _parents=(logits,), op="softmax_cross_entropy")
 
     def bw(g):
         if logits.requires_grad:
             p = np.exp(logp)
             p[np.arange(n), flat_labels] -= 1.0
             logits._accum((g * p / n).reshape(logits.shape))
-    out._backward = bw
-    return out
+    return Tensor(ce, _parents=(logits,), op="softmax_cross_entropy", _backward=bw)
 
 
 def layer_norm(h, gain, bias):
@@ -373,7 +386,6 @@ def layer_norm(h, gain, bias):
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (x - mu) * inv
     out_data = xhat * gain.data + bias.data
-    out = Tensor(out_data, _parents=(h, gain, bias), op="layer_norm")
 
     def bw(g):
         if gain.requires_grad:
@@ -385,26 +397,21 @@ def layer_norm(h, gain, bias):
             dg = gx.mean(axis=-1, keepdims=True)
             dgx = (gx * xhat).mean(axis=-1, keepdims=True)
             h._accum(inv * (gx - dg - xhat * dgx))
-    out._backward = bw
-    return out
+    return Tensor(out_data, _parents=(h, gain, bias), op="layer_norm", _backward=bw)
 
 
 def gradcheck(f, x, eps=1e-3):
     """Compare analytic gradient of scalar f at x against central differences.
 
     Returns the max over coordinates of
-    |analytic - numeric| / (|analytic| + |numeric| + 1e-8).
+    |analytic - numeric| / max(|analytic| + |numeric|, GRADCHECK_FLOOR).
+    Runs with gradients enabled, also when called inside `no_grad()`.
     """
-    global CHECK_FINITE, DTYPE
     if eps <= 0:
         raise ValueError("eps must be > 0")
-    old = CHECK_FINITE
-    old_dtype = DTYPE
-    CHECK_FINITE = True
     # Evaluate in float64 so the check isolates backward-formula errors from
     # float32 rounding; the training engine itself stays float32.
-    DTYPE = np.float64
-    try:
+    with engine_flags(DTYPE=np.float64, CHECK_FINITE=True, GRAD_ENABLED=True):
         xt = Tensor(x.data.astype(np.float64), requires_grad=True)
         out = f(xt)
         out.backward()
@@ -419,8 +426,5 @@ def gradcheck(f, x, eps=1e-3):
                 val = float(f(Tensor(v.reshape(x.shape))).data)
                 numeric[i] += sign * val
             numeric[i] /= 2.0 * step
-        rel = np.abs(analytic - numeric) / (np.abs(analytic) + np.abs(numeric) + 1e-8)
-        return float(rel.max())
-    finally:
-        CHECK_FINITE = old
-        DTYPE = old_dtype
+    denom = np.maximum(np.abs(analytic) + np.abs(numeric), GRADCHECK_FLOOR)
+    return float((np.abs(analytic - numeric) / denom).max())

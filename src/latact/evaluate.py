@@ -4,10 +4,11 @@ ground truth."""
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .autodiff import Tensor, softmax_cross_entropy
+from .autodiff import Tensor, no_grad, softmax_cross_entropy
 from .fitting import fit_logistic_probe, fit_mlp, r2_score
 from .models import (
     cond_sequence,
@@ -83,20 +84,31 @@ def image_metrics(pred_frames, true_frames):
 
 # ---- transfer evaluation ----
 
+def _stacked(episodes):
+    """The fields a rollout reads of an episode, `x` and `a`, stacked on a
+    leading episode axis."""
+    return SimpleNamespace(x=np.stack([ep.x for ep in episodes]),
+                           a=np.stack([ep.a for ep in episodes]))
+
+
 def _conditioning(model, episode):
-    if model.gtcond is not None:
-        return cond_sequence(pad_actions(episode.a, model.cfg.d_a_max), model.gtcond)
-    post = idm_infer(episode.x.astype(F32), model.idm)
-    return cond_sequence(Tensor(post.mu.data), model.idm)
+    """Conditioning tokens of an episode, or of a stack of them (`x` and `a`
+    with a leading batch axis); builds no tape."""
+    with no_grad():
+        if model.gtcond is not None:
+            return cond_sequence(pad_actions(episode.a, model.cfg.d_a_max), model.gtcond)
+        post = idm_infer(episode.x.astype(F32), model.idm)
+        return cond_sequence(post.mu, model.idm)
 
 
 def rollout_episode(model, episode, rng, c_seq=None):
     """Predict the episode's future tokens from its context block,
-    conditioned on `c_seq`, by default the episode's own conditioning."""
+    conditioned on `c_seq`, by default the episode's own conditioning. An
+    episode stack (see `_stacked`) takes one Generator per episode."""
     if c_seq is None:
         c_seq = _conditioning(model, episode)
     f_hist = model.cfg.f_hist
-    return rollout_generate(episode.x[:f_hist].astype(F32), c_seq, model.fdm, rng)
+    return rollout_generate(episode.x[..., :f_hist, :].astype(F32), c_seq, model.fdm, rng)
 
 
 # `frame_from_obs` renders whole stacks; this name stays for callers outside
@@ -112,20 +124,23 @@ def eval_episodes(spec, seed, n_episodes, embodiment):
 
 def evaluate_rollouts(models, episodes, spec, seed):
     """Per-model, per-episode image metrics of predicted vs true future
-    frames, plus token-space MSE; deterministic given the seed. Each
-    episode's true frames are rendered once, from the shortest history on,
-    and every model slices its own future from that stack."""
-    rows = {name: [] for name in models}
-    token_mse = {name: [] for name in models}
+    frames, plus token-space MSE; deterministic given the seed. The true
+    frames are rendered once, from the shortest history on, and every model
+    slices its own future from that stack. Each model rolls out all
+    episodes in one call, episode i with its own `rollout:{i}` stream."""
+    stack = _stacked(episodes)
     f_min = min(model.cfg.f_hist for model in models.values())
-    for i, ep in enumerate(episodes):
-        true_frames = frame_from_obs(ep.x[f_min:], spec)
-        for name, model in models.items():
-            f_hist = model.cfg.f_hist
-            pred = rollout_episode(model, ep, stream(seed, f"rollout:{i}"))
-            pred_frames = frame_from_obs(pred[f_hist:], spec)
-            rows[name].append(image_metrics(pred_frames, true_frames[f_hist - f_min:]))
-            token_mse[name].append(float(((pred[f_hist:] - ep.x[f_hist:]) ** 2).mean()))
+    true_frames = frame_from_obs(stack.x[:, f_min:], spec)
+    rows, token_mse = {}, {}
+    for name, model in models.items():
+        f_hist = model.cfg.f_hist
+        rngs = [stream(seed, f"rollout:{i}") for i in range(len(episodes))]
+        pred = rollout_episode(model, stack, rngs)
+        pred_frames = frame_from_obs(pred[:, f_hist:], spec)
+        rows[name] = [image_metrics(p, t[f_hist - f_min:])
+                      for p, t in zip(pred_frames, true_frames)]
+        token_mse[name] = [float(((p[f_hist:] - x[f_hist:]) ** 2).mean())
+                           for p, x in zip(pred, stack.x)]
     return rows, token_mse
 
 
@@ -172,11 +187,11 @@ class FrameClassifier:
     def _patches(frames):
         frames = np.asarray(frames, F32)
         n, H, W = frames.shape
-        cols = []
-        for dy in range(3):
-            for dx in range(3):
-                cols.append(frames[:, dy:H - 2 + dy, dx:W - 2 + dx].reshape(n, -1))
-        return np.stack(cols, axis=-1)    # (n, (H-2)(W-2), 9)
+        out = np.empty((n, H - 2, W - 2, 9), F32)
+        for k in range(9):
+            dy, dx = divmod(k, 3)
+            out[..., k] = frames[:, dy:H - 2 + dy, dx:W - 2 + dx]
+        return out.reshape(n, -1, 9)    # (n, (H-2)(W-2), 9)
 
     def logits(self, frames):
         patches = Tensor(self._patches(frames))
@@ -184,7 +199,8 @@ class FrameClassifier:
         return self.head(h.reshape(h.shape[0], -1))
 
     def probs(self, frames):
-        logits = self.logits(frames).data
+        with no_grad():
+            logits = self.logits(frames).data
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         return e / e.sum(axis=1, keepdims=True)
 
@@ -234,15 +250,13 @@ def leakage_rollouts(model, dataset, seed, pairs_per_source=10):
     sources = [e for e in spec.embodiments if e != target_e]
     targets = [generate_episode(seed, target_e, spec.T, spec, index=30_000 + i)
                for i in range(pairs_per_source)]
-    rollouts = []
-    for e_s in sources:
-        for i, tgt in enumerate(targets):
-            src = generate_episode(seed, e_s, spec.T, spec, index=20_000 + i)
-            pred = rollout_episode(model, tgt, stream(seed, f"leak:{e_s}:{i}"),
-                                   c_seq=_conditioning(model, src))
-            frames = frame_from_obs(pred[model.cfg.f_hist:], spec)
-            rollouts.append((frames, e_s, target_e))
-    return rollouts
+    pairs = [(e_s, i) for e_s in sources for i in range(pairs_per_source)]
+    srcs = [generate_episode(seed, e_s, spec.T, spec, index=20_000 + i) for e_s, i in pairs]
+    rngs = [stream(seed, f"leak:{e_s}:{i}") for e_s, i in pairs]
+    pred = rollout_episode(model, _stacked([targets[i] for _, i in pairs]), rngs,
+                           c_seq=_conditioning(model, _stacked(srcs)))
+    frames = frame_from_obs(pred[:, model.cfg.f_hist:], spec)
+    return [(f, e_s, target_e) for f, (e_s, _) in zip(frames, pairs)]
 
 
 def require_reliable_classifier(val_acc):
@@ -281,12 +295,8 @@ def action_probe(model, dataset, seed=0, steps=800, n_eval=20):
     target_e = dataset.target_e
 
     def collect(episodes):
-        zs, acts = [], []
-        for ep in episodes:
-            post = idm_infer(ep.x.astype(F32), model.idm)
-            zs.append(post.mu.data)
-            acts.append(ep.a)
-        return np.vstack(zs).astype(F32), np.vstack(acts).astype(F32)
+        z = _posterior_means(model, np.stack([ep.x for ep in episodes]))
+        return z, np.vstack([ep.a for ep in episodes]).astype(F32)
 
     train_eps = [ep for ep in dataset.episodes if ep.e == target_e]
     eval_eps = eval_episodes(spec, seed, n_eval, target_e)
@@ -340,15 +350,20 @@ def latent_recovery_score(z, u, e_labels, seed=0, mlp_steps=600):
 def latents_with_ground_truth(model, dataset, max_per_embodiment=40):
     """Posterior-mean latents with matched ground-truth u and embodiment
     labels, for recovery scoring."""
-    zs, us, es = [], [], []
-    counts = {}
+    picked, counts = [], {}
     for ep in dataset.episodes:
         if counts.get(ep.e, 0) >= max_per_embodiment:
             continue
         counts[ep.e] = counts.get(ep.e, 0) + 1
-        post = idm_infer(ep.x.astype(F32), model.idm)
-        zs.append(post.mu.data)
-        us.append(ep.u)
-        es.append(np.full(len(ep.u), ep.e))
-    return (np.vstack(zs).astype(F32), np.vstack(us).astype(F32),
-            np.concatenate(es))
+        picked.append(ep)
+    z = _posterior_means(model, np.stack([ep.x for ep in picked]))
+    return (z, np.vstack([ep.u for ep in picked]).astype(F32),
+            np.concatenate([np.full(len(ep.u), ep.e) for ep in picked]))
+
+
+def _posterior_means(model, x):
+    """IDM posterior means of a (n, T, d_v) episode stack, one row per
+    transition: (n * (T-1), d_z)."""
+    with no_grad():
+        mu = idm_infer(x.astype(F32), model.idm).mu.data
+    return mu.reshape(-1, mu.shape[-1]).astype(F32)

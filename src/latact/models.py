@@ -8,11 +8,12 @@ through adaptive layer norm, and is trained as a flow-matching velocity
 predictor with per-token noise levels (diffusion forcing).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, grl, reparam_sample
+from .autodiff import Tensor, concat, grl, no_grad, reparam_sample
 from .nn import (
     CausalConvKernel,
     Mlp,
@@ -24,6 +25,11 @@ from .nn import (
 )
 
 F32 = np.float32
+
+# Episodes per Euler block in `rollout_generate`: a 64-row block's (64, F,
+# 128) hidden activations (0.5 MB at F = 17) stay in a 2 MB L2 cache. On a
+# Xeon with 2 MB L2 per core, one 400-row block ran 1.9x slower per row.
+ROLLOUT_BLOCK_ROWS = 64
 
 
 def linear_schedule(tau):
@@ -320,24 +326,44 @@ def fdm_flow_predict(v_tilde, tau_seq, c_seq, fdm, v_ctx):
 def rollout_generate(context, c_seq, fdm, rng):
     """Euler-integrate the flow from tau=1 to tau=0 over the future tokens
     in `fdm.cfg.n_euler_steps` steps, clamping the context block to its
-    clean values at every step."""
-    n_steps = fdm.cfg.n_euler_steps
+    clean values at every step. Builds no tape.
+
+    Accepts a (f_hist, d_v) context with (F, d_c) conditioning and one
+    Generator, or any leading batch shape shared by both with a sequence of
+    Generators, one per leading row in C order. Each row draws its own
+    noise, so a row's rollout equals its unbatched rollout.
+    """
     context = np.asarray(context, F32)
-    f_hist = context.shape[0]
-    F = c_seq.shape[0]
+    *lead, f_hist, d_v = context.shape
+    F, d_c = c_seq.shape[-2:]
     if f_hist >= F:
         raise ValueError("context covers the whole horizon; nothing to generate")
-    cur = np.concatenate(
-        [context, rng.standard_normal((F - f_hist, fdm.cfg.d_v)).astype(F32)], axis=0)
-    taus = np.linspace(1.0, 0.0, n_steps + 1)
-    v_ctx = context[-1]
-    for k in range(n_steps):
-        tau_seq = np.full(F, taus[k], F32)
-        tau_seq[:f_hist] = 0.0
-        u_hat = fdm_flow_predict(cur, tau_seq, c_seq, fdm, v_ctx=v_ctx).data
+    rngs = list(rng) if lead else [rng]
+    if len(rngs) != math.prod(lead):
+        raise ValueError(f"need one Generator per leading row: {len(rngs)} for {lead}")
+    noise = np.stack([r.standard_normal((F - f_hist, d_v)).astype(F32) for r in rngs])
+    rows = np.concatenate([context.reshape(-1, f_hist, d_v), noise], axis=-2)
+    c_seq = c_seq.data if isinstance(c_seq, Tensor) else np.asarray(c_seq, F32)
+    c_rows = np.broadcast_to(c_seq, (*lead, F, d_c)).reshape(-1, F, d_c)
+    taus = np.linspace(1.0, 0.0, fdm.cfg.n_euler_steps + 1)
+    with no_grad():
+        for s in range(0, len(rows), ROLLOUT_BLOCK_ROWS):
+            block = slice(s, s + ROLLOUT_BLOCK_ROWS)
+            rows[block] = _euler(rows[block], c_rows[block], fdm, f_hist, taus)
+    return rows.reshape(*lead, F, d_v)
+
+
+def _euler(cur, c_seq, fdm, f_hist, taus):
+    """Euler steps over `taus` for a (rows, F, d_v) block whose first
+    `f_hist` tokens are the clean context."""
+    context = cur[:, :f_hist].copy()
+    tau_seq = np.zeros(cur.shape[:-1], F32)
+    for k in range(len(taus) - 1):
+        tau_seq[:, f_hist:] = taus[k]
+        u_hat = fdm_flow_predict(cur, tau_seq, c_seq, fdm, v_ctx=context[:, -1]).data
         cur = cur + (taus[k + 1] - taus[k]) * u_hat
-        cur[:f_hist] = context
-    return cur.astype(F32)
+        cur[:, :f_hist] = context
+    return cur
 
 
 def disc_classify(z, disc, alpha):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latact import autodiff
 from latact.autodiff import (
     Tensor,
     concat,
@@ -11,6 +12,7 @@ from latact.autodiff import (
     grl,
     kl_diag_gaussian,
     layer_norm,
+    no_grad,
     reparam_sample,
     softmax_cross_entropy,
 )
@@ -320,3 +322,108 @@ def test_gelu_matches_float64_reference():
     rng = stream(13, "test-gelu")
     xs = Tensor(rng.normal(scale=2.0, size=(3, 5)).astype(np.float32))
     assert gradcheck(lambda u: u.gelu().sum(), xs, eps=1e-4) < 1e-5
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_bits_match_plain_expressions(dtype):
+    x = np.concatenate([stream(14, "test-gelu-bits").normal(scale=3.0, size=5000),
+                        np.linspace(-12, 12, 2001), [0.0, -0.0, 1e-30, -1e-30]]).astype(dtype)
+    g = stream(15, "test-gelu-bits").normal(size=x.size).astype(dtype)
+    c = np.float32(np.sqrt(2.0 / np.pi))
+    t = np.tanh(c * (x + 0.044715 * (x * x * x)))
+    y_ref = 0.5 * x * (1.0 + t)
+    d_ref = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * (c * (1.0 + 3 * 0.044715 * x ** 2))
+    with autodiff.engine_flags(DTYPE=dtype):
+        u = Tensor(x, requires_grad=True)
+        y = u.gelu()
+        y.backward(g)
+    np.testing.assert_array_equal(y.data, y_ref)
+    np.testing.assert_array_equal(u.grad, g * d_ref)
+
+
+def test_gradcheck_floor_reads_near_zero_gradients_by_absolute_error():
+    # one of these points sits at x = -4.03, where the gradient of gelu^2 is
+    # 5e-8; relative to that, the central-difference residue read 1.7e-4
+    xs = Tensor(stream(13, "test-gelu").normal(scale=2.0, size=(3, 5)).astype(np.float32))
+    assert gradcheck(lambda u: (u.gelu() ** 2).sum(), xs) < 1e-4
+
+
+def _gelu_without_cubic_term(u):
+    """gelu forward with a backward that drops the 3 * 0.044715 x^2 term."""
+    c = np.sqrt(2.0 / np.pi)
+    y = u.gelu()
+    t = np.tanh(c * (u.data + 0.044715 * u.data ** 3))
+
+    def bw(g):
+        u._accum(g * (0.5 * (1.0 + t) + 0.5 * u.data * (1.0 - t ** 2) * c))
+    return Tensor(y.data, _parents=(u,), op="bad_gelu", _backward=bw)
+
+
+def test_gradcheck_flags_a_wrong_gelu_backward():
+    xs = Tensor(stream(13, "test-gelu").normal(scale=2.0, size=(3, 5)))
+    assert gradcheck(lambda u: _gelu_without_cubic_term(u).sum(), xs, eps=1e-4) > 1e-2
+    assert gradcheck(lambda u: (_gelu_without_cubic_term(u) ** 2).sum(), xs) > 1e-2
+
+
+def _flags():
+    return autodiff.DTYPE, autodiff.CHECK_FINITE, autodiff.GRAD_ENABLED
+
+
+class TestNoGrad:
+    def test_nodes_record_no_tape_even_from_parameters(self):
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        x = Tensor(np.arange(6.0).reshape(2, 3))
+        with no_grad():
+            outs = [x @ w, (x @ w).gelu(), concat([w, w]), w[0], w.sum(), w * 2.0,
+                    layer_norm(w, Tensor(np.ones(2)), Tensor(np.zeros(2)))]
+        for out in outs:
+            assert out._parents == () and out._backward is None and not out.requires_grad
+        np.testing.assert_array_equal(outs[0].data, x.data @ w.data)
+
+    def test_leaf_keeps_requires_grad(self):
+        with no_grad():
+            leaf = Tensor([1.0], requires_grad=True)
+        assert leaf.requires_grad
+
+    def test_nested_contexts_and_errors_restore_the_flag(self):
+        with no_grad():
+            with no_grad():
+                assert not autodiff.GRAD_ENABLED
+            assert not autodiff.GRAD_ENABLED
+        assert autodiff.GRAD_ENABLED
+        with pytest.raises(RuntimeError), no_grad():
+            raise RuntimeError("inside")
+        assert autodiff.GRAD_ENABLED
+
+    def test_gradients_after_the_context_match_those_before(self):
+        w0 = stream(21, "test-nograd").normal(size=(4, 3))
+
+        def grad():
+            w = Tensor(w0, requires_grad=True)
+            ((Tensor(np.ones((2, 4))) @ w).tanh() ** 2).sum().backward()
+            return w.grad
+        before = grad()
+        with no_grad():
+            w = Tensor(w0, requires_grad=True)
+            ((Tensor(np.ones((2, 4))) @ w).tanh() ** 2).sum()
+        np.testing.assert_array_equal(grad(), before)
+
+    def test_gradcheck_enables_gradients_inside_no_grad(self):
+        x = Tensor(np.array([0.5, -1.5]))
+        with no_grad():
+            assert gradcheck(lambda t: (t * t).sum(), x) < 1e-6
+            assert not autodiff.GRAD_ENABLED
+
+    def test_gradcheck_restores_all_flags_after_f_raises(self):
+        before = _flags()
+
+        def boom(t):
+            assert _flags() == (np.float64, True, True)
+            raise RuntimeError("f failed")
+        for ctx in (no_grad, lambda: autodiff.engine_flags()):
+            with ctx():
+                inside = _flags()
+                with pytest.raises(RuntimeError, match="f failed"):
+                    gradcheck(boom, Tensor([1.0]))
+                assert _flags() == inside
+        assert _flags() == before

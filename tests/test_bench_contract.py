@@ -9,8 +9,11 @@ on it in seconds. They read `perfbench/` and change nothing in it.
 import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
+from latact import evaluate as ev
+from latact.models import ModelConfig, build_model
 from latact.rng import stream
 from latact.worldgen import DGPSpec, generate_dataset
 
@@ -26,6 +29,13 @@ def _perfbench(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _workloads(monkeypatch):
+    """perfbench's workloads module, which imports its sibling `checks`."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.delitem(sys.modules, "checks", raising=False)
+    return _perfbench("workloads")
 
 
 def _bindings(wrap_points):
@@ -68,3 +78,42 @@ def test_op_figures_are_finite_numbers(capsys):
     # the benchmark's result is its last stdout line
     assert capsys.readouterr().out == ""
 
+
+def test_pinned_call_forms_run(tmp_path, monkeypatch):
+    # the eval-rollout sample check calls ev.rollout_episode(model, ep,
+    # Generator) on one episode; the train-pipeline gradient check sets
+    # autodiff.DTYPE as a module global; ops.model_figures, run above, calls
+    # rollout_generate on a (f_hist, d) context with a (F, d_c) Tensor
+    wl = _workloads(monkeypatch)
+    run = wl.Run(0, tmp_path)
+    gen_cfg = tmp_path / "gen.cfg"
+    gen_cfg.write_text("[dgp]\nT = 17\n[data]\nm_target = 4\nsource_count = 4\n")
+    run.setup_cmd(["gen", "--spec", gen_cfg, "--out", tmp_path / "data", "--seed", 0])
+    data = tmp_path / "data" / "dataset.bin"
+    steps = "[train]\nsteps = 2\nbatch_episodes = 2\n"
+    s = {"data": data,
+         "full": run.train_ckpt(tmp_path, "full", "scar-kl-grl", steps, data),
+         "gt": run.train_ckpt(tmp_path, "gt", "gt-action-baseline",
+                              steps + "beta = 0\nlam_adv = 0\n", data)}
+    wl.check_eval_sample(run, s)
+    wl.gradient_check(run, data)
+
+
+def test_tracer_records_eval_rollout_spans():
+    tracing = _perfbench("tracing")
+    spec = DGPSpec()
+    model = build_model(ModelConfig(d_v=spec.d_x), stream(0, "bench-contract"))
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        with tracer.span("op.eval"):
+            ev.run_transfer_eval({"m": model}, spec, 0, n_episodes=2)
+    finally:
+        tracer.uninstall()
+    figures = tracing.span_metrics(tracer, {"gen": 1, "train": 1, "eval": 1, "a2l": 1})
+    # one batched call per model and task
+    for name in ("evaluate.rollout_episode_ms", "models.rollout_generate_ms"):
+        assert figures[name] is not None and figures[name] > 0, name
+    ix = tracing.SpanIndex(tracer)
+    assert len(ix.select("evaluate.rollout_episode", ["eval"])) == 2
+    assert len(ix.select("models.rollout_generate", ["eval"])) == 2

@@ -128,6 +128,12 @@ def model(dataset):
 
 
 @pytest.fixture(scope="module")
+def gt_model(dataset):
+    cfg = ModelConfig(d_v=dataset.spec.d_x)
+    return build_model(cfg, stream(10, "test-eval-gt"), with_gtcond=True)
+
+
+@pytest.fixture(scope="module")
 def classifier(dataset):
     return train_frame_classifier(dataset, seed=0)
 
@@ -186,6 +192,24 @@ class TestLeakagePipeline:
         assert sorted(calls) == [(0, 30_000), (0, 30_001)] + [
             (e, 20_000 + i) for e in (1, 2, 3) for i in range(2)]
 
+    @pytest.mark.parametrize("which", ["model", "gt_model"])
+    def test_matches_per_pair_rollouts(self, dataset, which, request):
+        model = request.getfixturevalue(which)
+        spec, f_hist = dataset.spec, model.cfg.f_hist
+        got = leakage_rollouts(model, dataset, seed=3, pairs_per_source=2)
+        want = []
+        for e_s in (1, 2, 3):
+            for i in range(2):
+                tgt = generate_episode(3, 0, spec.T, spec, index=30_000 + i)
+                src = generate_episode(3, e_s, spec.T, spec, index=20_000 + i)
+                pred = ev.rollout_episode(model, tgt, stream(3, f"leak:{e_s}:{i}"),
+                                          c_seq=ev._conditioning(model, src))
+                want.append((frame_from_obs(pred[f_hist:], spec), e_s, 0))
+        assert len(got) == len(want)
+        for (fg, *eg), (fw, *ew) in zip(got, want):
+            assert eg == ew
+            np.testing.assert_array_equal(fg, fw)
+
     def test_raw_action_model_ignores_its_idm(self, dataset):
         cfg = ModelConfig(d_v=dataset.spec.d_x)
         model = build_model(cfg, stream(10, "test-eval-gt"), with_gtcond=True)
@@ -209,26 +233,46 @@ class TestTransferEval:
             assert -1 <= cell["ssim"] <= 1
 
     def test_held_out_episodes_generated_once_per_task(self, dataset, model, monkeypatch):
-        calls, frames = [], []
+        calls, frames, rollouts = [], [], []
 
         def counting(*args, **kwargs):
             calls.append(args)
             return generate_episode(*args, **kwargs)
 
         def counting_frames(*args):
-            frames.append(len(args[0]))
+            frames.append(args[0].shape[:-1])
             return frame_from_obs(*args)
+
+        rollout_episode = ev.rollout_episode
+
+        def counting_rollouts(m, episode, rng, **kwargs):
+            rollouts.append(episode.x.shape[0])
+            return rollout_episode(m, episode, rng, **kwargs)
         monkeypatch.setattr(ev, "generate_episode", counting)
         monkeypatch.setattr(ev, "frame_from_obs", counting_frames)
+        monkeypatch.setattr(ev, "rollout_episode", counting_rollouts)
         n = 3
         out = ev.run_transfer_eval({"a": model, "b": model}, dataset.spec, seed=4, n_episodes=n)
         assert len(calls) == 2 * n
-        # per task and episode: the true future once, then each model's
-        # prediction, each rendered as one stack
+        # per task: the true futures as one stack, then each model's
+        # predictions as one stack from one rollout call
         future = dataset.spec.T - model.cfg.f_hist
-        assert frames == [future] * (2 * n * (1 + 2))
+        assert frames == [(n, future)] * (2 * (1 + 2))
+        assert rollouts == [n] * (2 * 2)
         for task in ("target", "transfer"):
             assert out["a"][task] == out["b"][task]
+
+    @pytest.mark.parametrize("which", ["model", "gt_model"])
+    @pytest.mark.parametrize("B", [1, 7])
+    def test_stacked_rollout_matches_per_episode_calls(self, dataset, which, B, request):
+        model = request.getfixturevalue(which)
+        eps = eval_episodes(dataset.spec, 8, B, 0)
+        got = ev.rollout_episode(model, ev._stacked(eps),
+                                 [stream(8, f"rollout:{i}") for i in range(B)])
+        assert got.shape == (B, *eps[0].x.shape)
+        for i, ep in enumerate(eps):
+            want = ev.rollout_episode(model, ep, stream(8, f"rollout:{i}"))
+            np.testing.assert_array_equal(got[i], want)
 
     def test_row_count_default(self, dataset, model):
         out = run_transfer_eval({"m": model}, dataset.spec, seed=4, n_episodes=5)

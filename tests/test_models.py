@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from latact import models
 from latact.autodiff import Tensor, gradcheck, layer_norm
 from latact.models import (
     ModelConfig,
@@ -223,6 +224,34 @@ class TestRollout:
         c = np.zeros((17, cfg.d_c), F32)
         with pytest.raises(ValueError):
             rollout_generate(v, c, model.fdm, stream(0, "r"))
+        with pytest.raises(ValueError, match="one Generator per leading row"):
+            rollout_generate(np.stack([v[:5]] * 3), c, model.fdm, [stream(0, "r")] * 2)
+
+    @pytest.mark.parametrize("B", [1, 7])
+    def test_stack_matches_per_row_rollouts(self, cfg, model, B, monkeypatch):
+        monkeypatch.setattr(models, "ROLLOUT_BLOCK_ROWS", 3)   # seven rows span three blocks
+        v = np.stack([_tokens(cfg, seed=30 + i) for i in range(B)])
+        c = cond_sequence(stream(31, "roll-c").normal(size=(B, 16, cfg.d_z)), model.idm)
+        got = rollout_generate(v[:, :5], c, model.fdm,
+                               [stream(i, "roll-stack") for i in range(B)])
+        assert got.shape == (B, 17, cfg.d_v) and got.dtype == F32
+        for i in range(B):
+            want = rollout_generate(v[i, :5], Tensor(c.data[i]), model.fdm,
+                                    stream(i, "roll-stack"))
+            np.testing.assert_array_equal(got[i], want)
+
+    def test_builds_no_tape(self, cfg, model, monkeypatch):
+        seen = []
+
+        def spy(*args, **kwargs):
+            out = fdm_flow_predict(*args, **kwargs)
+            seen.append(out)
+            return out
+        monkeypatch.setattr(models, "fdm_flow_predict", spy)
+        v = _tokens(cfg)
+        rollout_generate(v[:5], np.zeros((17, cfg.d_c), F32), model.fdm, stream(0, "r"))
+        assert len(seen) == cfg.n_euler_steps
+        assert all(out._parents == () and out._backward is None for out in seen)
 
     def test_zero_euler_steps_refused(self):
         with pytest.raises(ValueError, match="n_euler_steps"):
