@@ -18,8 +18,7 @@ from latact.rng import stream
 from latact.worldgen import vmf_sample
 
 print("act 1: adversarial saddle on vMF clusters (d_a=6, d_z=3, 4 embodiments)")
-exp = theory.make_vmf_experiment(seed=0)
-rep = theory.saddle_train(exp, seed=0)
+[rep] = theory.saddle_train([theory.make_vmf_experiment(seed=0)], [0])
 print(f"  held-out CE {rep['held_out_ce']:.4f} vs ln(4) = {math.log(4):.4f}")
 print(f"  invariance statistic max|M(v_e - v_e')| / s_max = "
       f"{rep['invariance_stat']:.4f}")

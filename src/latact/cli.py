@@ -18,6 +18,7 @@ import numpy as np
 
 from . import evaluate as ev
 from . import theory
+from .autodiff import no_grad
 from .config import ConfigError, build_section, config_hash, load_config
 from .models import ModelConfig, build_model
 from .rng import stream
@@ -261,14 +262,14 @@ def cmd_a2l(args):
 def _a2l_eval_mse(model, dataset, seed, pointwise=False):
     from .models import a2l_predict
 
-    spec = dataset.spec
-    errs = []
-    for ep in ev.eval_episodes(spec, seed, 20, dataset.target_e):
-        target = posterior_mean_targets(model, ep)
-        pred = a2l_predict(ep.a, ep.x[: model.cfg.f_hist], model.a2l,
-                           pointwise=pointwise).data
-        errs.append(float(((pred - target) ** 2).mean()))
-    return float(np.mean(errs))
+    episodes = ev.eval_episodes(dataset.spec, seed, 20, dataset.target_e)
+    target = posterior_mean_targets(model, episodes)
+    with no_grad():
+        pred = a2l_predict(np.stack([ep.a for ep in episodes]),
+                           np.stack([ep.x[: model.cfg.f_hist] for ep in episodes]),
+                           model.a2l, pointwise=pointwise).data
+    # the mean of the per-episode errors
+    return float(((pred - target) ** 2).mean(axis=(1, 2)).astype(np.float64).mean())
 
 
 VMF_PRESETS = {
@@ -288,9 +289,8 @@ def cmd_verify(args):
     checks = []
 
     saddle_stats = []
-    for s in seeds:
-        exp = theory.make_vmf_experiment(seed=s, **preset)
-        rep = theory.saddle_train(exp, seed=s)
+    exps = [theory.make_vmf_experiment(seed=s, **preset) for s in seeds]
+    for s, rep in zip(seeds, theory.saddle_train(exps, seeds)):
         if not rep["ok"]:
             saddle_stats.append({"seed": s, "ok": False, "reason": rep["reason"]})
             continue

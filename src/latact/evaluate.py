@@ -19,6 +19,7 @@ from .models import (
 from .nn import Mlp, init_linear
 from .optim import AdamW
 from .rng import stream
+from .training import posterior_mean_targets
 from .worldgen import frame_from_obs, generate_episode, transfer_spec
 
 F32 = np.float32
@@ -295,7 +296,7 @@ def action_probe(model, dataset, seed=0, steps=800, n_eval=20):
     target_e = dataset.target_e
 
     def collect(episodes):
-        z = _posterior_means(model, np.stack([ep.x for ep in episodes]))
+        z = posterior_mean_targets(model, episodes).reshape(-1, model.cfg.d_z)
         return z, np.vstack([ep.a for ep in episodes]).astype(F32)
 
     train_eps = [ep for ep in dataset.episodes if ep.e == target_e]
@@ -356,14 +357,7 @@ def latents_with_ground_truth(model, dataset, max_per_embodiment=40):
             continue
         counts[ep.e] = counts.get(ep.e, 0) + 1
         picked.append(ep)
-    z = _posterior_means(model, np.stack([ep.x for ep in picked]))
+    z = posterior_mean_targets(model, picked).reshape(-1, model.cfg.d_z)
     return (z, np.vstack([ep.u for ep in picked]).astype(F32),
             np.concatenate([np.full(len(ep.u), ep.e) for ep in picked]))
 
-
-def _posterior_means(model, x):
-    """IDM posterior means of a (n, T, d_v) episode stack, one row per
-    transition: (n * (T-1), d_z)."""
-    with no_grad():
-        mu = idm_infer(x.astype(F32), model.idm).mu.data
-    return mu.reshape(-1, mu.shape[-1]).astype(F32)

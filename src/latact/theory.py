@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, grl, softmax_cross_entropy
+from .autodiff import Tensor, softmax_cross_entropy
 from .fitting import (
     energy_permutation_test,
     fit_linear,
@@ -27,8 +27,9 @@ F32 = np.float32
 
 SERIES_ASYMPTOTIC_SWITCH = 30.0
 
-# saddle_train draws this many steps' batches per vmf_sample call: a few MB
-# per chunk, where one draw for all steps would dominate peak memory
+# saddle_train draws this many steps' batches per vmf_sample call for each
+# game, and holds the chunks of all k games at once: a few MB per chunk,
+# where one draw for all steps would dominate peak memory
 SADDLE_CHUNK = 250
 SADDLE_BATCH = 256    # points per step, split evenly over the clusters
 
@@ -200,29 +201,46 @@ def vmf_experiment_data(exp, n_per_class, seed, purpose="saddle-data"):
     return x[perm], e[perm]
 
 
-def saddle_train(exp, steps=8000, seed=0, n_test=4000):
-    """Adversarial training of the linear encoder against the embodiment
-    classifier; the gradient-reversal node realizes the minimax in one
-    optimizer step.
+def saddle_train(exps, seeds, steps=8000, n_test=4000):
+    """Adversarial training of linear encoders against embodiment
+    classifiers: one game per (experiment, seed) pair, all played as one
+    stack. Returns one report dict per game; the experiments are not
+    modified.
 
-    Every step takes a fresh batch from the vMF mixture (sampled
-    SADDLE_CHUNK steps at a time, never reused), so the game is
-    played against the population objective rather than a finite training
-    set (a fixed sample leaves an O(n^{-1/2}) bias in the recovered
-    subspace). The learning rates decay linearly to a tenth to damp SGD
-    noise near the saddle. Returns a report dict; `exp` is not modified.
+    The classifier descends the softmax cross-entropy; the encoder takes the
+    negated classifier gradient (gradient reversal), so one optimizer step
+    of each realizes the minimax. Both gradients are computed in closed form
+    on the (k, batch, d) stack, in the autodiff engine's operation order,
+    with no tape. The experiments must share d_a, d_z and n_embodiments.
+
+    Every step takes a fresh batch from each game's vMF mixture (sampled
+    SADDLE_CHUNK steps at a time from the game's own stream, never reused),
+    so each game is played against the population objective rather than a
+    finite training set (a fixed sample leaves an O(n^{-1/2}) bias in the
+    recovered subspace). The learning rates decay linearly to a tenth to
+    damp SGD noise near the saddle.
     """
-    x_test, e_test = vmf_experiment_data(exp, n_test // exp.n_embodiments, seed, "saddle-test")
+    if len(exps) != len(seeds) or not exps:
+        raise ValueError("saddle_train needs one seed per experiment, and at least one")
+    for field in ("d_a", "d_z", "n_embodiments"):
+        values = sorted({getattr(exp, field) for exp in exps})
+        if len(values) > 1:
+            raise ValueError(f"saddle_train: the stacked experiments differ in {field}: {values}")
+    d_a, d_z, n_e = exps[0].d_a, exps[0].d_z, exps[0].n_embodiments
+    held_out = [vmf_experiment_data(exp, n_test // n_e, seed, "saddle-test")
+                for exp, seed in zip(exps, seeds)]
 
-    Mt = Tensor(exp.M.T.copy(), requires_grad=True)   # (d_a, d_z)
-    W = Tensor(exp.W.copy(), requires_grad=True)
-    b = Tensor(exp.b.copy(), requires_grad=True)
+    Mt = Tensor(np.stack([exp.M.T for exp in exps]))           # (k, d_a, d_z)
+    W = Tensor(np.stack([exp.W for exp in exps]))              # (k, d_z, |E|)
+    b = Tensor(np.stack([exp.b for exp in exps])[:, None])     # (k, 1, |E|)
     lr_enc, lr_cls = 2e-3, 2e-2
     opt_enc = AdamW({"Mt": Mt}, lr=lr_enc)
     opt_cls = AdamW({"W": W, "b": b}, lr=lr_cls)
-    rng = stream(seed, "saddle-batches")
-    per_class = SADDLE_BATCH // exp.n_embodiments
-    eb = np.repeat(np.arange(exp.n_embodiments), per_class)
+    rngs = [stream(seed, "saddle-batches") for seed in seeds]
+    per_class = SADDLE_BATCH // n_e
+    # embodiment-major labels, as each chunk's rows are laid out
+    onehot = np.repeat(np.eye(n_e, dtype=F32), per_class, axis=0)
+    eye = np.eye(d_z)
 
     for step in range(steps):
         decay = 1.0 - 0.9 * step / steps
@@ -231,28 +249,51 @@ def saddle_train(exp, steps=8000, seed=0, n_test=4000):
         j = step % SADDLE_CHUNK
         if j == 0:
             n_chunk = min(SADDLE_CHUNK, steps - step)
-            chunk = vmf_sample(exp.centers, exp.kappa, per_class * n_chunk, rng)
-        # embodiment-major, as in eb
-        xb = chunk[:, j * per_class:(j + 1) * per_class].reshape(-1, exp.d_a)
-        opt_enc.zero_grad()
-        opt_cls.zero_grad()
-        z = Tensor(xb) @ Mt
-        logits = grl(z, 1.0) @ W + b
-        ce = softmax_cross_entropy(logits, eb)
-        ce.backward()
+            chunks = None   # release the spent chunks before drawing the next
+            chunks = [vmf_sample(exp.centers, exp.kappa, per_class * n_chunk, rng)
+                      for exp, rng in zip(exps, rngs)]
+        xb = np.stack([c[:, j * per_class:(j + 1) * per_class].reshape(-1, d_a)
+                       for c in chunks])
+        Mt.grad, W.grad, b.grad = _saddle_grads(xb, Mt.data, W.data, b.data, onehot)
         # spectral floor: minimize -mu log det(M M^T + eps I), mu = 1e-3
-        M = Mt.data.T.astype(np.float64)
-        G = M @ M.T + 1e-6 * np.eye(exp.d_z)
-        Mt.grad = Mt.grad + (-1e-3 * 2.0 * (np.linalg.inv(G) @ M)).T.astype(F32)
+        M = Mt.data.transpose(0, 2, 1).astype(np.float64)
+        G = M @ M.transpose(0, 2, 1) + 1e-6 * eye
+        Mt.grad = Mt.grad + (-1e-3 * 2.0 * (np.linalg.inv(G) @ M)).transpose(0, 2, 1).astype(F32)
         opt_enc.step()
         opt_cls.step()
 
-    M = Mt.data.T.astype(np.float64)
+    return [_saddle_report(exp, test, Mt.data[i].copy(), W.data[i].copy(), b.data[i, 0].copy())
+            for i, (exp, test) in enumerate(zip(exps, held_out))]
+
+
+def _saddle_grads(xb, Mt, W, b, onehot):
+    """Gradients of the mean softmax cross-entropy of (xb Mt) W + b against
+    the one-hot labels, on (k, ...) stacks: the classifier's (W, b) as is,
+    the encoder's Mt reversed (gradient reversal at strength 1). The
+    operations and their order are those of the autodiff engine's
+    softmax_cross_entropy, matmul, add and grl backward passes, so the bits
+    match a taped step."""
+    z = xb @ Mt
+    logits = z @ W + b
+    # the row max one class column at a time: exact in any order, and several
+    # times faster than numpy's reduce over a last axis this short
+    m = logits[..., :1]
+    for c in range(1, logits.shape[-1]):
+        m = np.maximum(m, logits[..., c:c + 1])
+    zc = logits - m
+    g = (np.exp(zc - np.log(np.exp(zc).sum(axis=-1, keepdims=True))) - onehot) / len(onehot)
+    g_Mt = xb.transpose(0, 2, 1) @ (-1.0 * (g @ W.transpose(0, 2, 1)))
+    return g_Mt, z.transpose(0, 2, 1) @ g, g.sum(axis=1, keepdims=True)
+
+
+def _saddle_report(exp, test, Mt, W, b):
+    x_test, e_test = test
+    M = Mt.T.astype(np.float64)
     svals = np.linalg.svd(M, compute_uv=False)
     if svals.min() < 1e-6:
         return {"ok": False, "reason": "rank collapse"}
 
-    logits_test = x_test @ M.T @ W.data.astype(np.float64) + b.data
+    logits_test = x_test @ M.T @ W.astype(np.float64) + b
     ce_test = float(softmax_cross_entropy(Tensor(logits_test.astype(F32)), e_test).data)
     diffs = [exp.centers[i] - exp.centers[j]
              for i in range(exp.n_embodiments) for j in range(i + 1, exp.n_embodiments)]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, kl_diag_gaussian, softmax_cross_entropy
+from .autodiff import Tensor, kl_diag_gaussian, no_grad, softmax_cross_entropy
 from .models import (
     ModelConfig,
     a2l_predict,
@@ -303,9 +303,12 @@ def pretrain_fdm(dataset, config, model=None, log_path=None):
     return model, rows
 
 
-def posterior_mean_targets(model, episode):
-    """Stop-gradient latent targets from the frozen inverse model."""
-    post = idm_infer(Tensor(episode.x.astype(F32)), model.idm)
+def posterior_mean_targets(model, episodes):
+    """Stop-gradient latent targets from the frozen inverse model: the
+    posterior means of a list of equal-length episodes, from one tape-free
+    stacked pass, (n, T-1, d_z)."""
+    with no_grad():
+        post = idm_infer(np.stack([ep.x for ep in episodes]).astype(F32), model.idm)
     return post.mu.data.copy()
 
 
@@ -320,7 +323,7 @@ def train_a2l(model, dataset, config, pointwise=False, ft=False, log_path=None):
     pool = [ep for ep in dataset.episodes if ep.e == dataset.target_e]
     if not pool:
         raise ValueError("no target-embodiment episodes for A2L training")
-    targets = np.stack([posterior_mean_targets(model, ep) for ep in pool])
+    targets = posterior_mean_targets(model, pool)
     params = model.a2l.params()
     opts = [AdamW(params, lr=config.lr_a2l)]
     if ft:

@@ -147,10 +147,9 @@ def test_c02_flow_matching_algebra():
 def test_c03_saddle_three_seeds():
     t0 = time.perf_counter()
     results = []
-    for s in SEEDS:
-        exp = theory.make_vmf_experiment(d_a=6, d_z=3, n_embodiments=4,
-                                         kappa=8.0, seed=s)
-        rep = theory.saddle_train(exp, seed=s)
+    exps = [theory.make_vmf_experiment(d_a=6, d_z=3, n_embodiments=4, kappa=8.0, seed=s)
+            for s in SEEDS]
+    for rep in theory.saddle_train(exps, SEEDS):
         assert rep["ok"], rep
         results.append((abs(rep["held_out_ce"] - math.log(4)),
                         rep["invariance_stat"], rep["max_principal_angle"]))

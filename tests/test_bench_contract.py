@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from latact import evaluate as ev
+from latact import theory
 from latact.models import ModelConfig, build_model
 from latact.rng import stream
 from latact.worldgen import DGPSpec, generate_dataset
@@ -117,3 +118,27 @@ def test_tracer_records_eval_rollout_spans():
     ix = tracing.SpanIndex(tracer)
     assert len(ix.select("evaluate.rollout_episode", ["eval"])) == 2
     assert len(ix.select("models.rollout_generate", ["eval"])) == 2
+
+
+def test_tracer_records_verify_saddle_spans():
+    # verify's shape: three experiments, one stacked saddle_train call
+    tracing = _perfbench("tracing")
+    seeds = [0, 1, 2]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        with tracer.span("op.verify"):
+            exps = [theory.make_vmf_experiment(d_a=4, d_z=2, seed=s) for s in seeds]
+            reports = theory.saddle_train(exps, seeds, steps=60, n_test=400)
+    finally:
+        tracer.uninstall()
+    assert len(reports) == 3
+    figures = tracing.span_metrics(tracer, {"gen": 1, "train": 1, "eval": 1, "a2l": 1})
+    for name in ("theory.saddle_train_s", "worldgen.vmf_sample_ms"):
+        assert figures[name] is not None and figures[name] > 0, name
+    ix = tracing.SpanIndex(tracer)
+    assert len(ix.select("theory.make_vmf_experiment", ["verify"])) == 3
+    # one span covers all three games
+    assert len(ix.select("theory.saddle_train", ["verify"])) == 1
+    # per game: the held-out set and one 60-step chunk
+    assert len(ix.select("worldgen.vmf_sample", ["verify"])) == 6

@@ -8,8 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from latact import cli
 from latact import evaluate as ev
 from latact.cli import main, make_parser
+from latact.models import A2LParams, a2l_predict, idm_infer
+from latact.rng import stream
 from latact.serialize import load_checkpoint, read_record, write_record
 from latact.training import VARIANTS
 from latact.worldgen import load_dataset
@@ -341,6 +344,19 @@ class TestA2l:
         fdm_changed = any(after[k].tobytes() != before[k].tobytes()
                           for k in before if k.startswith("fdm."))
         assert fdm_changed == (mode == "ft")
+
+    @pytest.mark.parametrize("pointwise", [False, True])
+    def test_eval_mse_is_the_mean_of_per_episode_errors(self, workdir, pointwise):
+        model, _ = cli._load_model_dir(workdir / "run")
+        model.a2l = A2LParams(model.cfg, stream(0, "a2l-init"))
+        dataset = load_dataset(workdir / "data" / "dataset.bin")
+        errs = []
+        for ep in ev.eval_episodes(dataset.spec, 0, 20, dataset.target_e):
+            target = idm_infer(ep.x.astype(np.float32), model.idm).mu.data
+            pred = a2l_predict(ep.a, ep.x[: model.cfg.f_hist], model.a2l,
+                               pointwise=pointwise).data
+            errs.append(float(((pred - target) ** 2).mean()))
+        assert cli._a2l_eval_mse(model, dataset, 0, pointwise=pointwise) == float(np.mean(errs))
 
 
 class TestVerify:

@@ -24,7 +24,9 @@ from latact.theory import (
     vmf_experiment_data,
     _collect_transitions,
 )
+from latact.autodiff import Tensor, grl, softmax_cross_entropy
 from latact.fitting import fit_linear, r2_score
+from latact.optim import AdamW
 from latact.worldgen import vmf_sample
 
 
@@ -190,6 +192,104 @@ class TestVmfExperiment:
         assert ce < 0.3
 
 
+def _taped_saddle(exp, steps, seed, n_test):
+    """The per-game taped loop that saddle_train replaced: the reference its
+    stacked closed-form loop must reproduce bit for bit."""
+    x_test, e_test = vmf_experiment_data(exp, n_test // exp.n_embodiments, seed, "saddle-test")
+    Mt = Tensor(exp.M.T.copy(), requires_grad=True)
+    W = Tensor(exp.W.copy(), requires_grad=True)
+    b = Tensor(exp.b.copy(), requires_grad=True)
+    opt_enc = AdamW({"Mt": Mt}, lr=2e-3)
+    opt_cls = AdamW({"W": W, "b": b}, lr=2e-2)
+    rng = stream(seed, "saddle-batches")
+    per_class = th.SADDLE_BATCH // exp.n_embodiments
+    eb = np.repeat(np.arange(exp.n_embodiments), per_class)
+    for step in range(steps):
+        decay = 1.0 - 0.9 * step / steps
+        opt_enc.lr = 2e-3 * decay
+        opt_cls.lr = 2e-2 * decay
+        j = step % th.SADDLE_CHUNK
+        if j == 0:
+            n_chunk = min(th.SADDLE_CHUNK, steps - step)
+            chunk = vmf_sample(exp.centers, exp.kappa, per_class * n_chunk, rng)
+        xb = chunk[:, j * per_class:(j + 1) * per_class].reshape(-1, exp.d_a)
+        opt_enc.zero_grad()
+        opt_cls.zero_grad()
+        logits = grl(Tensor(xb) @ Mt, 1.0) @ W + b
+        softmax_cross_entropy(logits, eb).backward()
+        M = Mt.data.T.astype(np.float64)
+        G = M @ M.T + 1e-6 * np.eye(exp.d_z)
+        Mt.grad = Mt.grad + (-1e-3 * 2.0 * (np.linalg.inv(G) @ M)).T.astype(np.float32)
+        opt_enc.step()
+        opt_cls.step()
+    M = Mt.data.T.astype(np.float64)
+    svals = np.linalg.svd(M, compute_uv=False)
+    if svals.min() < 1e-6:
+        return {"ok": False, "reason": "rank collapse"}
+    logits_test = x_test @ M.T @ W.data.astype(np.float64) + b.data
+    ce_test = float(softmax_cross_entropy(Tensor(logits_test.astype(np.float32)), e_test).data)
+    diffs = [exp.centers[i] - exp.centers[j]
+             for i in range(exp.n_embodiments) for j in range(i + 1, exp.n_embodiments)]
+    return {
+        "ok": True,
+        "held_out_ce": ce_test,
+        "ln_num_embodiments": math.log(exp.n_embodiments),
+        "invariance_stat": float(max(np.linalg.norm(M @ d) for d in diffs) / svals.max()),
+        "max_principal_angle": float(principal_angles(M.T, exp.V_perp).max()),
+    }
+
+
+class TestSaddleStack:
+    @pytest.mark.parametrize("preset", ["vmf-small", "vmf-default"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_reports_match_taped_per_game_loop(self, preset, k):
+        # 300 steps cross one chunk boundary
+        seeds = [5 + i for i in range(k)]
+        exps = [make_vmf_experiment(seed=s, **VMF_PRESETS[preset]) for s in seeds]
+        got = saddle_train(exps, seeds, steps=300, n_test=400)
+        assert got == [_taped_saddle(exp, 300, s, 400) for exp, s in zip(exps, seeds)]
+
+    @pytest.mark.parametrize("n_e", [4, 5])
+    def test_closed_form_gradients_equal_the_tape_through_grl(self, n_e):
+        rng = stream(0, "saddle-grads")
+        k, d_a, d_z = 2, 6, 3
+        xb = rng.normal(size=(k, 256, d_a)).astype(np.float32)
+        Mt = rng.normal(0, 0.3, (k, d_a, d_z)).astype(np.float32)
+        W = rng.normal(0, 0.1, (k, d_z, n_e)).astype(np.float32)
+        b = rng.normal(0, 0.1, (k, 1, n_e)).astype(np.float32)
+        eb = np.repeat(np.arange(n_e), th.SADDLE_BATCH // n_e)
+        xb = xb[:, :len(eb)]
+        g_Mt, g_W, g_b = th._saddle_grads(xb, Mt, W, b, np.eye(n_e, dtype=np.float32)[eb])
+        for i in range(k):
+            t_Mt = Tensor(Mt[i], requires_grad=True)
+            t_W = Tensor(W[i], requires_grad=True)
+            t_b = Tensor(b[i, 0], requires_grad=True)
+            softmax_cross_entropy(grl(Tensor(xb[i]) @ t_Mt, 1.0) @ t_W + t_b, eb).backward()
+            np.testing.assert_array_equal(g_Mt[i], t_Mt.grad)
+            np.testing.assert_array_equal(g_W[i], t_W.grad)
+            np.testing.assert_array_equal(g_b[i, 0], t_b.grad)
+        # the reversal: the encoder descends the negated classifier gradient
+        t_Mt = Tensor(Mt[0], requires_grad=True)
+        softmax_cross_entropy(Tensor(xb[0]) @ t_Mt @ Tensor(W[0]) + Tensor(b[0, 0]), eb).backward()
+        np.testing.assert_array_equal(g_Mt[0], -t_Mt.grad)
+
+    @pytest.mark.parametrize("field, other", [
+        ("d_a", dict(d_a=5, d_z=3)),
+        ("d_z", dict(d_a=6, d_z=4)),
+        ("n_embodiments", dict(n_embodiments=5)),
+    ])
+    def test_mismatched_stack_is_refused(self, field, other):
+        exps = [make_vmf_experiment(seed=0), make_vmf_experiment(seed=1, **other)]
+        with pytest.raises(ValueError, match=field):
+            saddle_train(exps, [0, 1], steps=1)
+
+    def test_needs_one_seed_per_experiment(self):
+        with pytest.raises(ValueError, match="one seed per experiment"):
+            saddle_train([make_vmf_experiment(seed=0)], [0, 1], steps=1)
+        with pytest.raises(ValueError, match="one seed per experiment"):
+            saddle_train([], [], steps=1)
+
+
 class TestSaddleChunks:
     def test_partial_last_chunk_and_rerun_identical(self, monkeypatch):
         calls = []
@@ -202,10 +302,10 @@ class TestSaddleChunks:
         monkeypatch.setattr(th, "vmf_sample", recording)
         steps = 300
         assert steps % th.SADDLE_CHUNK != 0
-        reports = [saddle_train(make_vmf_experiment(d_a=4, d_z=2, seed=1), steps=steps,
-                                seed=1, n_test=400) for _ in range(2)]
+        reports = [saddle_train([make_vmf_experiment(d_a=4, d_z=2, seed=1)], [1], steps=steps,
+                                n_test=400) for _ in range(2)]
         assert reports[0] == reports[1]
-        assert reports[0]["ok"]
+        assert reports[0][0]["ok"]
         # per run: the held-out set, one full chunk, then the 50-step remainder
         per_class = th.SADDLE_BATCH // 4
         rest = steps - th.SADDLE_CHUNK
@@ -214,36 +314,36 @@ class TestSaddleChunks:
         assert calls[3:] == calls[:3]
 
     def test_step_batches_are_embodiment_major(self, monkeypatch):
-        # each step's batch holds 64 rows of cluster 0, then 64 of cluster 1, ...
+        # each game's step batch holds 64 rows of its cluster 0, then 64 of
+        # cluster 1, ...; the labels follow the same order
         batches, labels = [], []
-        real_tensor, real_ce = th.Tensor, th.softmax_cross_entropy
+        real_grads = th._saddle_grads
 
-        def tensor(data, *args, **kwargs):
-            if np.shape(data) == (256, 6):
-                batches.append(np.array(data))
-            return real_tensor(data, *args, **kwargs)
+        def grads(xb, Mt, W, b, onehot):
+            batches.append(xb.copy())
+            labels.append(onehot.argmax(axis=1))
+            return real_grads(xb, Mt, W, b, onehot)
 
-        def ce(logits, target):
-            labels.append(np.array(target))
-            return real_ce(logits, target)
-
-        monkeypatch.setattr(th, "Tensor", tensor)
-        monkeypatch.setattr(th, "softmax_cross_entropy", ce)
-        exp = make_vmf_experiment(seed=2)
-        saddle_train(exp, steps=3, seed=2, n_test=400)
+        monkeypatch.setattr(th, "_saddle_grads", grads)
+        exps = [make_vmf_experiment(seed=2), make_vmf_experiment(seed=3)]
+        saddle_train(exps, [2, 3], steps=3, n_test=400)
         assert len(batches) == 3
         for xb, eb in zip(batches, labels):
             np.testing.assert_array_equal(eb, np.repeat(np.arange(4), 64))
-            means = xb.reshape(4, 64, 6).mean(axis=1)
-            np.testing.assert_array_equal((means @ exp.centers.T).argmax(axis=1), np.arange(4))
+            assert xb.shape == (2, 256, 6)
+            for game, exp in zip(xb, exps):
+                means = game.reshape(4, 64, 6).mean(axis=1)
+                np.testing.assert_array_equal((means @ exp.centers.T).argmax(axis=1),
+                                              np.arange(4))
         assert not np.array_equal(batches[0], batches[1])
+        assert not np.array_equal(batches[0][0], batches[0][1])
 
 
 @pytest.mark.slow
 class TestSaddleTrain:
     def test_reaches_invariant_subspace(self):
         exp = make_vmf_experiment(d_a=6, d_z=3, n_embodiments=4, kappa=8.0, seed=0)
-        report = saddle_train(exp, steps=4000, seed=0)
+        [report] = saddle_train([exp], [0], steps=4000)
         assert report["ok"], report
         assert abs(report["held_out_ce"] - math.log(4)) < 0.05
         assert report["invariance_stat"] < 0.05

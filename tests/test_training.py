@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from latact.models import ModelConfig, a2l_predict, build_model
+from latact.models import ModelConfig, a2l_predict, build_model, idm_infer
 from latact.rng import stream
 from latact.training import (
     TrainConfig,
@@ -186,6 +186,13 @@ class TestPretrain:
 
 
 class TestA2l:
+    def test_targets_are_per_episode_posterior_means(self, dataset, model):
+        pool = dataset.episodes[:5]
+        got = posterior_mean_targets(model, pool)
+        assert got.shape == (5, dataset.spec.T - 1, model.cfg.d_z)
+        for row, ep in zip(got, pool):
+            np.testing.assert_array_equal(row, idm_infer(ep.x.astype(np.float32), model.idm).mu.data)
+
     def test_idm_frozen_and_loss_drops(self, dataset, model):
         before = {k: t.data.copy() for k, t in model.idm.params().items()}
         _, rows = train_a2l(model, dataset, make_config("shared-latent",
@@ -217,7 +224,7 @@ class TestA2l:
         f_hist = m.cfg.f_hist
         ref = np.mean([
             ((a2l_predict(pool[i].a, pool[i].x[:f_hist], m.a2l).data.astype(np.float64)
-              - posterior_mean_targets(m, pool[i])) ** 2).mean() for i in idx])
+              - posterior_mean_targets(m, [pool[i]])[0]) ** 2).mean() for i in idx])
         _, rows = train_a2l(m, dataset, config)
         assert rows[0]["L_total"] == pytest.approx(ref, rel=1e-6)
 
