@@ -25,6 +25,7 @@ from .rng import stream
 from .serialize import load_checkpoint, save_checkpoint
 from .training import (
     VARIANTS,
+    TrainingAborted,
     make_config,
     model_checksum,
     posterior_mean_targets,
@@ -436,7 +437,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError, KeyError, ValueError, OSError) as exc:
+    except (ConfigError, FileNotFoundError, KeyError, ValueError, OSError,
+            TrainingAborted) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

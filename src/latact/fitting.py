@@ -2,10 +2,11 @@
 
 import numpy as np
 
-from .autodiff import Tensor, softmax_cross_entropy
+from .autodiff import Tensor, no_grad, softmax_cross_entropy
 from .nn import Mlp
 from .optim import AdamW
 from .rng import stream
+from .training import fit, rec_only
 
 F32 = np.float32
 
@@ -51,18 +52,19 @@ def fit_mlp(x, y, steps=800, seed=0):
     y = np.asarray(y, F32)
     rng = stream(seed, "fit-mlp")
     mlp = Mlp([x.shape[1], 32, 32, y.shape[1]], rng)
-    opt = AdamW(mlp.params(), lr=1e-2)
+    params = mlp.params()
     n = len(x)
-    for _ in range(steps):
+
+    def step_fn(step):
         idx = rng.integers(0, n, min(256, n))
-        opt.zero_grad()
-        pred = mlp(Tensor(x[idx]))
-        loss = ((pred - Tensor(y[idx])) ** 2).mean()
-        loss.backward()
-        opt.step()
+        loss = ((mlp(Tensor(x[idx])) - Tensor(y[idx])) ** 2).mean()
+        return loss, rec_only(loss)
+
+    fit(step_fn, [AdamW(params, lr=1e-2)], steps, params)
 
     def predict(q):
-        return mlp(Tensor(np.asarray(q, F32))).data
+        with no_grad():
+            return mlp(Tensor(np.asarray(q, F32))).data
 
     return predict
 
@@ -74,19 +76,21 @@ def fit_logistic_probe(z, labels, n_classes, steps=600, seed=0):
     rng = stream(seed, "fit-probe")
     w = Tensor(rng.normal(0, 0.01, (z.shape[1], n_classes)).astype(F32), requires_grad=True)
     b = Tensor(np.zeros(n_classes, F32), requires_grad=True)
-    opt = AdamW({"w": w, "b": b}, lr=5e-2)
+    params = {"w": w, "b": b}
     n = len(z)
-    for _ in range(steps):
+
+    def step_fn(step):
         idx = rng.integers(0, n, min(512, n))
-        opt.zero_grad()
         ce = softmax_cross_entropy(Tensor(z[idx]) @ w + b, labels[idx])
-        ce.backward()
-        opt.step()
+        return ce, rec_only(ce)
+
+    fit(step_fn, [AdamW(params, lr=5e-2)], steps, params)
 
     def predict_logits(q):
         return np.asarray(q, F32) @ w.data + b.data
 
-    final_ce = float(softmax_cross_entropy(Tensor(z) @ w + b, labels).data)
+    with no_grad():
+        final_ce = float(softmax_cross_entropy(Tensor(z) @ w + b, labels).data)
     return predict_logits, final_ce
 
 

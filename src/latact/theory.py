@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, softmax_cross_entropy
+from .autodiff import Tensor, log_softmax, no_grad, softmax_cross_entropy
 from .fitting import (
     energy_permutation_test,
     fit_linear,
@@ -21,6 +21,7 @@ from .fitting import (
 )
 from .optim import AdamW
 from .rng import stream
+from .training import fit, rec_only
 from .worldgen import DGPSpec, generate_episode, vmf_sample
 
 F32 = np.float32
@@ -274,14 +275,7 @@ def _saddle_grads(xb, Mt, W, b, onehot):
     softmax_cross_entropy, matmul, add and grl backward passes, so the bits
     match a taped step."""
     z = xb @ Mt
-    logits = z @ W + b
-    # the row max one class column at a time: exact in any order, and several
-    # times faster than numpy's reduce over a last axis this short
-    m = logits[..., :1]
-    for c in range(1, logits.shape[-1]):
-        m = np.maximum(m, logits[..., c:c + 1])
-    zc = logits - m
-    g = (np.exp(zc - np.log(np.exp(zc).sum(axis=-1, keepdims=True))) - onehot) / len(onehot)
+    g = (np.exp(log_softmax(z @ W + b)) - onehot) / len(onehot)
     g_Mt = xb.transpose(0, 2, 1) @ (-1.0 * (g @ W.transpose(0, 2, 1)))
     return g_Mt, z.transpose(0, 2, 1) @ g, g.sum(axis=1, keepdims=True)
 
@@ -355,19 +349,20 @@ def train_linear_idm_fdm(spec, steps=3000, seed=0):
     B = Tensor(rng.normal(0, 0.1, (d_in, spec.d_a)).astype(F32), requires_grad=True)
     b_i = Tensor(np.zeros(spec.d_a, F32), requires_grad=True)
     D = Tensor(rng.normal(0, 0.1, (spec.d_a, spec.d_s)).astype(F32), requires_grad=True)
-    opt = AdamW({"B": B, "b_i": b_i, "D": D}, lr=1e-2, wd=1e-4)
+    params = {"B": B, "b_i": b_i, "D": D}
     pairs = np.hstack([x_t, x_n])
 
-    for _ in range(steps):
-        idx = rng.integers(0, len(pairs), 256)
-        opt.zero_grad()
+    def loss_on(idx):
         a_tilde = Tensor(pairs[idx]) @ B + b_i
-        pred = Tensor(s_t[idx]) + a_tilde @ D
-        loss = ((pred - Tensor(s_n[idx])) ** 2).mean()
-        loss.backward()
-        opt.step()
-    a_tilde = Tensor(pairs) @ B + b_i
-    final_loss = float((((Tensor(s_t) + a_tilde @ D) - Tensor(s_n)) ** 2).mean().data)
+        return (((Tensor(s_t[idx]) + a_tilde @ D) - Tensor(s_n[idx])) ** 2).mean()
+
+    def step_fn(step):
+        loss = loss_on(rng.integers(0, len(pairs), 256))
+        return loss, rec_only(loss)
+
+    fit(step_fn, [AdamW(params, lr=1e-2, wd=1e-4)], steps, params)
+    with no_grad():
+        final_loss = float(loss_on(slice(None)).data)
 
     def idm_predict(x_pair):
         return np.asarray(x_pair, F32) @ B.data + b_i.data

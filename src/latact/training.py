@@ -220,7 +220,8 @@ def _write_log(log_path, rows):
             writer.writerow(["" if row[c] is None else row[c] for c in LOG_COLUMNS])
 
 
-def _rec_only(loss):
+def rec_only(loss):
+    """Log components of a step whose loss is one reconstruction term."""
     value = float(loss.data)
     return {"L_total": value, "L_rec": value, "L_KL": None, "L_GRL": None}
 
@@ -297,7 +298,7 @@ def pretrain_fdm(dataset, config, model=None, log_path=None):
         v, _, _ = _stack_batch(pool, idx, cfg.d_a_max)
         c_zero = Tensor(np.zeros((*v.shape[:-1], cfg.d_c), F32))
         loss = flow_loss(v, c_zero, model.fdm, loss_rng)
-        return loss, _rec_only(loss)
+        return loss, rec_only(loss)
 
     rows = fit(step_fn, [opt], config.pretrain_steps, model.fdm.params(), log_path)
     return model, rows
@@ -339,7 +340,7 @@ def train_a2l(model, dataset, config, pointwise=False, ft=False, log_path=None):
         loss = ((z_hat - Tensor(targets[idx])) ** 2).mean()
         if ft:
             loss = loss + flow_loss(v, cond_sequence(z_hat, model.idm), model.fdm, loss_rng)
-        return loss, _rec_only(loss)
+        return loss, rec_only(loss)
 
     rows = fit(step_fn, opts, config.a2l_steps, params, log_path)
     return model, rows

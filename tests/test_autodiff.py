@@ -12,6 +12,7 @@ from latact.autodiff import (
     grl,
     kl_diag_gaussian,
     layer_norm,
+    log_softmax,
     no_grad,
     reparam_sample,
     softmax_cross_entropy,
@@ -153,6 +154,18 @@ class TestCrossEntropyAndLayerNorm:
         logits = Tensor(np.zeros((5, 4)))
         ce = softmax_cross_entropy(logits, np.zeros(5, dtype=int))
         assert abs(float(ce.data) - np.log(4)) < 1e-6
+
+    @pytest.mark.parametrize("shape", [(256, 4), (4096, 5), (3, 256, 4)])
+    def test_log_softmax_equals_the_reduce_max_expressions(self, shape):
+        x = stream(7, "test-log-softmax").normal(0, 3, shape).astype(np.float32)
+        flat = x.reshape(-1, shape[-1])     # a view: writes reach x
+        flat[1, 2] = np.nan                 # a row holding a NaN
+        z = flat - flat.max(axis=1, keepdims=True)
+        want = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        got = log_softmax(x).reshape(flat.shape)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got[1]).all() and np.isfinite(np.delete(got, 1, axis=0)).all()
 
     def test_layer_norm_constant_vector(self):
         h = Tensor(np.full(8, 3.0))

@@ -132,6 +132,15 @@ class TestTrain:
         assert err.startswith("error:")
         assert "beta" in err
 
+    def test_diverging_run_is_an_error(self, workdir, tmp_path, capsys):
+        hot = tmp_path / "hot.txt"
+        hot.write_text("[train]\nsteps = 30\nlr_idm = 1e3\nlr_fdm = 1e3\n")
+        rc = main(["train", "--variant", "shared-latent", "--config", str(hot),
+                   "--data", str(workdir / "data" / "dataset.bin"),
+                   "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert re.match(r"error: TrainingAborted: step \d+: L_\w+ = ", capsys.readouterr().err)
+
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_every_variant_trains_with_default_weights(self, variant, workdir, tmp_path):
         cfg = tmp_path / "short.txt"

@@ -365,6 +365,32 @@ class TestLinearLemma:
         assert report["r2_inverse"] > 0.99
         assert report["state_dependence_gap"] < 0.01
 
+    def test_equals_its_own_loop_bit_for_bit(self):
+        # train_linear_idm_fdm as it was before it ran through training.fit
+        spec = make_linear_dgp()
+        x_t, x_n, a, s_t = _collect_transitions(spec, 200, spec.T, 4)
+        s_n = s_t + a @ spec.W_dyn.T.astype(np.float32)
+        rng = stream(4, "lemma-train")
+        B = Tensor(rng.normal(0, 0.1, (2 * spec.d_x, spec.d_a)).astype(np.float32),
+                   requires_grad=True)
+        b_i = Tensor(np.zeros(spec.d_a, np.float32), requires_grad=True)
+        D = Tensor(rng.normal(0, 0.1, (spec.d_a, spec.d_s)).astype(np.float32),
+                   requires_grad=True)
+        opt = AdamW({"B": B, "b_i": b_i, "D": D}, lr=1e-2, wd=1e-4)
+        pairs = np.hstack([x_t, x_n])
+        for _ in range(50):
+            idx = rng.integers(0, len(pairs), 256)
+            opt.zero_grad()
+            pred = Tensor(s_t[idx]) + (Tensor(pairs[idx]) @ B + b_i) @ D
+            ((pred - Tensor(s_n[idx])) ** 2).mean().backward()
+            opt.step()
+        a_tilde = Tensor(pairs) @ B + b_i
+        loss = float((((Tensor(s_t) + a_tilde @ D) - Tensor(s_n)) ** 2).mean().data)
+
+        idm, final_loss = train_linear_idm_fdm(spec, steps=50, seed=4)
+        np.testing.assert_array_equal(idm(pairs), a_tilde.data)
+        assert final_loss == loss
+
     def test_shuffled_control_fails(self):
         spec = make_linear_dgp()
         idm, _ = train_linear_idm_fdm(spec, steps=2000, seed=0)
