@@ -249,36 +249,13 @@ class Tensor:
         return Tensor(y, _parents=(self,), op="tanh", _backward=bw)
 
     def gelu(self):
-        """tanh-approximation GELU. Both passes work in place on two or three
-        buffers, in the operation order of the plain expressions, so the bits
-        are theirs without their full-size temporaries."""
-        c = np.float32(np.sqrt(2.0 / np.pi))
+        """tanh-approximation GELU (see `gelu_forward`, `gelu_backward`)."""
         x = self.data
-        t = x * x
-        t *= x                                  # float32 `x ** 3` is slow and value-dependent
-        t *= 0.044715
-        t += x
-        t *= c
-        np.tanh(t, out=t)
-        y = 1.0 + t
-        y *= 0.5 * x
+        t, y = gelu_forward(x)
 
         def bw(g):
             if self.requires_grad:
-                d = t * t
-                np.subtract(1.0, d, out=d)
-                buf = x * 0.5
-                d *= buf                        # 0.5 x (1 - t^2)
-                np.multiply(x, x, out=buf)
-                buf *= 3 * 0.044715
-                buf += 1.0
-                buf *= c
-                d *= buf                        # times c (1 + 3 0.044715 x^2)
-                np.add(t, 1.0, out=buf)
-                buf *= 0.5
-                d += buf                        # plus 0.5 (1 + t)
-                d *= g
-                self._accum(d)
+                self._accum(gelu_backward(x, t, g))
         return Tensor(y, _parents=(self,), op="gelu", _backward=bw)
 
     def __repr__(self):
@@ -286,6 +263,45 @@ class Tensor:
 
 
 # ---- free functions ----
+
+GELU_C = np.float32(np.sqrt(2.0 / np.pi))
+
+
+def gelu_forward(x, t=None, y=None, buf=None):
+    """tanh-approximation GELU of a numpy array: (t, y) with t the tanh term
+    that `gelu_backward` reads and y the output. Works in place on t, y and
+    buf (allocated when not given), in the operation order of the plain
+    expressions, so the bits are theirs without their full-size
+    temporaries."""
+    t = np.multiply(x, x, out=t)
+    t *= x                                  # float32 `x ** 3` is slow and value-dependent
+    t *= 0.044715
+    t += x
+    t *= GELU_C
+    np.tanh(t, out=t)
+    y = np.add(1.0, t, out=y)
+    y *= np.multiply(0.5, x, out=buf)
+    return t, y
+
+
+def gelu_backward(x, t, g, out=None, buf=None):
+    """Gradient through `gelu_forward` at x, given its tanh term t and the
+    upstream gradient g; works in place on out and buf like the forward."""
+    d = np.multiply(t, t, out=out)
+    np.subtract(1.0, d, out=d)
+    buf = np.multiply(x, 0.5, out=buf)
+    d *= buf                                # 0.5 x (1 - t^2)
+    np.multiply(x, x, out=buf)
+    buf *= 3 * 0.044715
+    buf += 1.0
+    buf *= GELU_C
+    d *= buf                                # times c (1 + 3 0.044715 x^2)
+    np.add(t, 1.0, out=buf)
+    buf *= 0.5
+    d += buf                                # plus 0.5 (1 + t)
+    d *= g
+    return d
+
 
 def concat(tensors, axis=0):
     def bw(g):

@@ -10,9 +10,16 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
+
+# One BLAS thread unless the caller set a count: the matmuls here are small,
+# and a second thread only adds CPU time (and contention on a busy machine).
+# Set before numpy loads, which reads these once.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad, softmax_cross_entropy
+from .autodiff import Tensor, gelu_backward, gelu_forward, log_softmax, no_grad
 from .fitting import fit_logistic_probe, fit_mlp, r2_score
 from .models import (
     cond_sequence,
@@ -28,6 +28,7 @@ PSNR_CAP_DB = 99.0
 SSIM_C1 = 0.01 ** 2
 SSIM_C2 = 0.03 ** 2
 CLASSIFIER_MIN_ACC = 0.9   # below this the leakage diagnostic is refused
+CLASSIFIER_STEPS = 3000
 
 
 @dataclass
@@ -185,14 +186,17 @@ class FrameClassifier:
         self.head = Mlp([n_feat, n_classes], rng, activation="gelu")
 
     @staticmethod
-    def _patches(frames):
+    def _patches(frames, out=None):
+        """(n, (H-2)(W-2), 9) 3x3 patches of an (n, H, W) frame stack, written
+        into `out` when given."""
         frames = np.asarray(frames, F32)
         n, H, W = frames.shape
-        out = np.empty((n, H - 2, W - 2, 9), F32)
+        out = np.empty((n, H - 2, W - 2, 9), F32) if out is None else out
+        grid = out.reshape(n, H - 2, W - 2, 9)
         for k in range(9):
             dy, dx = divmod(k, 3)
-            out[..., k] = frames[:, dy:H - 2 + dy, dx:W - 2 + dx]
-        return out.reshape(n, -1, 9)    # (n, (H-2)(W-2), 9)
+            grid[..., k] = frames[:, dy:H - 2 + dy, dx:W - 2 + dx]
+        return out.reshape(n, -1, 9)
 
     def logits(self, frames):
         patches = Tensor(self._patches(frames))
@@ -212,9 +216,9 @@ class FrameClassifier:
 
 
 def train_frame_classifier(dataset, seed=0):
-    """Independent single-frame embodiment classifier, trained 3000 steps on
-    four random frames per dataset episode; returns (classifier, validation
-    accuracy)."""
+    """Independent single-frame embodiment classifier, trained
+    CLASSIFIER_STEPS steps on four random frames per dataset episode;
+    returns (classifier, validation accuracy)."""
     rng = stream(seed, "frame-clf")
     obs, labels = [], []
     for ep in dataset.episodes:
@@ -232,19 +236,43 @@ def train_frame_classifier(dataset, seed=0):
     clf = FrameClassifier(dataset.spec.n_embodiments, rng,
                           frame_size=dataset.spec.frame_size)
     opt = AdamW(clf.params(), lr=1e-2)
-    # Not `training.fit`: its `del loss` frees each step's tape at the end of
-    # the step. Through `fit` the same bits took 1.2-1.8x the time and 2-6x
-    # the minor page faults (600 steps, two dataset sizes). Here a tape is
-    # freed only when `ce` is rebound, after the next tape is built, so its
-    # pages are reused rather than handed back.
-    for _ in range(3000):
-        idx = rng.integers(0, len(tr_f), min(128, len(tr_f)))
-        opt.zero_grad()
-        ce = softmax_cross_entropy(clf.logits(tr_f[idx]), tr_l[idx])
-        ce.backward()
+    # Closed-form steps, as in `theory.saddle_train`: no tape, and the
+    # activations live in buffers allocated once.
+    n, positions = min(128, len(tr_f)), (dataset.spec.frame_size - 2) ** 2
+    patches = np.empty((n, positions, 9), F32)
+    bufs = [np.empty((n, positions, clf.channels), F32) for _ in range(5)]
+    for _ in range(CLASSIFIER_STEPS):
+        idx = rng.integers(0, len(tr_f), n)
+        _classifier_grads(clf, clf._patches(tr_f[idx], out=patches), tr_l[idx], bufs)
         opt.step()
     val_acc = float((clf.probs(va_f).argmax(1) == va_l).mean())
     return clf, val_acc
+
+
+def _classifier_grads(clf, patches, labels, bufs):
+    """Set each classifier parameter's grad to that of the mean softmax
+    cross-entropy on (n, positions, 9) patches. The operations and their
+    order are those of the autodiff engine's matmul, add, gelu, reshape and
+    softmax_cross_entropy passes over `FrameClassifier.logits`, so the bits
+    match a taped step. `bufs` holds five (n, positions, channels) float32
+    arrays that are overwritten."""
+    x, t, y, dh, buf = bufs
+    n = len(labels)
+    (w_head, b_head), = clf.head.layers
+    np.matmul(patches, clf.w_conv.data, out=x)
+    rows = x.reshape(n, -1)
+    rows += np.tile(clf.b_conv.data, x.shape[1])   # the broadcast's adds, as one row add
+    gelu_forward(x, t, y, buf)
+    h = y.reshape(n, -1)
+    g = np.exp(log_softmax(h @ w_head.data + b_head.data))
+    g[np.arange(n), labels] -= 1.0
+    g /= n
+    b_head.grad = g.sum(axis=0)
+    w_head.grad = h.T @ g
+    np.matmul(g, w_head.data.T, out=dh.reshape(n, -1))
+    d = gelu_backward(x, t, dh, out=y, buf=buf)
+    clf.b_conv.grad = d.sum(axis=(0, 1))    # slow, but `ones @ d` changes the bits
+    clf.w_conv.grad = patches.reshape(-1, 9).T @ d.reshape(-1, clf.channels)
 
 
 def leakage_rollouts(model, dataset, seed, pairs_per_source=10):

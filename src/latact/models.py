@@ -292,7 +292,7 @@ def pad_actions(a_seq, d_a_max):
     return out
 
 
-def fdm_flow_predict(v_tilde, tau_seq, c_seq, fdm, v_ctx):
+def fdm_flow_predict(v_tilde, tau_seq, c_seq, fdm, v_ctx, bgs=None):
     """Predicted flow velocity for every token.
 
     Per-token input is the noised token, its noised predecessor (zeros for
@@ -301,7 +301,8 @@ def fdm_flow_predict(v_tilde, tau_seq, c_seq, fdm, v_ctx):
     level; the conditioning sequence enters through AdaLN at every hidden
     block. Accepts (F, d_v) or any leading batch shape (..., F, d_v);
     tau_seq must match the leading-and-time shape and v_ctx the leading
-    shape.
+    shape. `bgs`, if given, holds each block's AdaLN modulation
+    `c_seq @ mod.w + mod.b`, computed once for calls that share `c_seq`.
     """
     if not isinstance(v_tilde, Tensor):
         v_tilde = Tensor(np.asarray(v_tilde, F32))
@@ -318,10 +319,9 @@ def fdm_flow_predict(v_tilde, tau_seq, c_seq, fdm, v_ctx):
     one = v_ctx.reshape(*v_ctx.shape[:-1], 1, v_ctx.shape[-1])
     ctx_tokens = concat([one] * F, axis=-2)
     h = concat([v_tilde, prev, ctx_tokens, temb], axis=-1)
-    for (w, b), mod in zip(fdm.layers, fdm.mods):
-        h = adaln_modulate(h @ w + b, c_seq, mod).gelu()
+    for (w, b), mod, bg in zip(fdm.layers, fdm.mods, bgs or [None] * len(fdm.mods)):
+        h = adaln_modulate(h @ w + b, c_seq, mod, bg).gelu()
     return h @ fdm.w_out + fdm.b_out
-
 
 def rollout_generate(context, c_seq, fdm, rng):
     """Euler-integrate the flow from tau=1 to tau=0 over the future tokens
@@ -358,9 +358,11 @@ def _euler(cur, c_seq, fdm, f_hist, taus):
     `f_hist` tokens are the clean context."""
     context = cur[:, :f_hist].copy()
     tau_seq = np.zeros(cur.shape[:-1], F32)
+    c = Tensor(c_seq)
+    bgs = [c @ mod.w + mod.b for mod in fdm.mods]   # fixed for the whole rollout
     for k in range(len(taus) - 1):
         tau_seq[:, f_hist:] = taus[k]
-        u_hat = fdm_flow_predict(cur, tau_seq, c_seq, fdm, v_ctx=context[:, -1]).data
+        u_hat = fdm_flow_predict(cur, tau_seq, c_seq, fdm, v_ctx=context[:, -1], bgs=bgs).data
         cur = cur + (taus[k + 1] - taus[k]) * u_hat
         cur[:, :f_hist] = context
     return cur

@@ -51,15 +51,18 @@ class ModulationWeights:
         self.w, self.b = init_linear(rng, cond_width, 2 * hidden_width)
 
 
-def adaln_modulate(h, c, mod):
+def adaln_modulate(h, c, mod, bg=None):
     """(1 + gamma) * LN(h) + beta with (beta, gamma) = W_mod c.
 
-    Zeroed conditioning (c=0, zero bias) reduces exactly to LN(h).
+    Zeroed conditioning (c=0, zero bias) reduces exactly to LN(h). `bg`, if
+    given, is `c @ mod.w + mod.b` computed beforehand, for a caller that
+    modulates with the same conditioning many times.
     """
     d = h.shape[-1]
     if d != mod.hidden_width:
         raise ValueError(f"hidden width {d} != modulation width {mod.hidden_width}")
-    bg = c @ mod.w + mod.b
+    if bg is None:
+        bg = c @ mod.w + mod.b
     beta = bg[..., :d]
     gamma = bg[..., d:]
     ones = Tensor(np.ones(d, dtype=np.float32))

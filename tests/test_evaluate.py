@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from latact import evaluate as ev
+from latact.autodiff import Tensor, no_grad, softmax_cross_entropy
 from latact.evaluate import (
     LeakageReport,
     action_probe,
@@ -18,6 +19,7 @@ from latact.evaluate import (
 )
 from latact.fitting import fit_mlp
 from latact.models import ModelConfig, build_model
+from latact.optim import AdamW
 from latact.rng import stream
 from latact.training import model_checksum
 from latact.worldgen import DGPSpec, frame_from_obs, generate_dataset, generate_episode
@@ -155,6 +157,74 @@ class TestFrameClassifier:
     def test_low_accuracy_refused(self):
         with pytest.raises(ValueError, match="0.9"):
             leakage_eval([], None, val_acc=0.5)
+
+
+def _slice_patches(frames):
+    """3x3 patches built one window offset at a time, independently of
+    `FrameClassifier._patches`."""
+    frames = np.asarray(frames, F32)
+    n, H, W = frames.shape
+    out = np.empty((n, H - 2, W - 2, 9), F32)
+    for k in range(9):
+        dy, dx = divmod(k, 3)
+        out[..., k] = frames[:, dy:H - 2 + dy, dx:W - 2 + dx]
+    return out.reshape(n, -1, 9)
+
+
+def _taped_logits(clf, frames):
+    h = (Tensor(_slice_patches(frames)) @ clf.w_conv + clf.b_conv).gelu()
+    return clf.head(h.reshape(h.shape[0], -1))
+
+
+def _taped_probs(clf, frames):
+    with no_grad():
+        logits = _taped_logits(clf, frames).data
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _taped_frame_classifier(dataset, seed, steps):
+    """The frame classifier trained through the autodiff tape: one
+    `softmax_cross_entropy(...).backward()` and AdamW step per batch, on the
+    same frames, batches and initialisation as `train_frame_classifier`."""
+    rng = stream(seed, "frame-clf")
+    obs, labels = [], []
+    for ep in dataset.episodes:
+        picks = rng.choice(len(ep.x), size=min(4, len(ep.x)), replace=False)
+        obs.append(ep.x[picks])
+        labels += [ep.e] * len(picks)
+    frames = frame_from_obs(np.concatenate(obs), dataset.spec)
+    labels = np.array(labels)
+    perm = rng.permutation(len(frames))
+    frames, labels = frames[perm], labels[perm]
+    n_val = max(len(frames) // 5, 1)
+    tr_f, tr_l = frames[n_val:], labels[n_val:]
+    va_f, va_l = frames[:n_val], labels[:n_val]
+    clf = ev.FrameClassifier(dataset.spec.n_embodiments, rng,
+                             frame_size=dataset.spec.frame_size)
+    opt = AdamW(clf.params(), lr=1e-2)
+    for _ in range(steps):
+        idx = rng.integers(0, len(tr_f), min(128, len(tr_f)))
+        opt.zero_grad()
+        softmax_cross_entropy(_taped_logits(clf, tr_f[idx]), tr_l[idx]).backward()
+        opt.step()
+    return clf, float((_taped_probs(clf, va_f).argmax(1) == va_l).mean())
+
+
+@pytest.mark.parametrize("m_target, source_count", [(6, 15), (2, 4)])
+def test_closed_form_classifier_matches_taped_training(monkeypatch, m_target, source_count):
+    # (6, 15): 164 training frames, batches of 128; (2, 4): 45 training
+    # frames, so every batch is min(128, 45) rows
+    data = generate_dataset(0, DGPSpec(), m_target=m_target, source_count=source_count)
+    monkeypatch.setattr(ev, "CLASSIFIER_STEPS", 50)
+    clf, val_acc = train_frame_classifier(data, seed=0)
+    ref, ref_acc = _taped_frame_classifier(data, seed=0, steps=50)
+    assert val_acc == ref_acc
+    for name, p in ref.params().items():
+        np.testing.assert_array_equal(clf.params()[name].data, p.data, err_msg=name)
+    frames = stream(1, "clf-probe").uniform(size=(20, 16, 16))
+    np.testing.assert_array_equal(clf._patches(frames), _slice_patches(frames))
+    np.testing.assert_array_equal(clf.probs(frames), _taped_probs(ref, frames))
 
 
 class TestLeakagePipeline:

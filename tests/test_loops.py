@@ -1,13 +1,12 @@
-"""One training loop: outside `autodiff.gradcheck`, only `training.fit` and
-the frame classifier's loop call `.backward()`."""
+"""One training loop: outside `autodiff.gradcheck`, only `training.fit`
+calls `.backward()`."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "latact"
 
-# the frame classifier keeps its own loop for speed (see its comment)
-BACKWARD_CALLERS = {"training.fit", "autodiff.gradcheck", "evaluate.train_frame_classifier"}
+BACKWARD_CALLERS = {"training.fit", "autodiff.gradcheck"}
 
 
 def _backward_callers(path):

@@ -240,6 +240,23 @@ class TestRollout:
                                     stream(i, "roll-stack"))
             np.testing.assert_array_equal(got[i], want)
 
+    def test_modulation_computed_once_matches_per_step(self, cfg, monkeypatch):
+        # 70 rows span two 64-row Euler blocks; the reference recomputes each
+        # block's AdaLN modulation inside every fdm_flow_predict call
+        model = build_model(cfg, stream(42, "test-models"))
+        rng = stream(43, "mod-b")
+        for mod in model.fdm.mods:      # nonzero biases, so a dropped one shows
+            mod.b.data[...] = rng.normal(0, 0.1, mod.b.shape)
+        B = 70
+        v = np.stack([_tokens(cfg, seed=40 + i) for i in range(B)])
+        c = cond_sequence(stream(41, "roll-c").normal(size=(B, 16, cfg.d_z)), model.idm)
+        assert models.ROLLOUT_BLOCK_ROWS < B <= 2 * models.ROLLOUT_BLOCK_ROWS
+        got = rollout_generate(v[:, :5], c, model.fdm, [stream(i, "roll-mod") for i in range(B)])
+        monkeypatch.setattr(models, "fdm_flow_predict",
+                            lambda *args, bgs, **kwargs: fdm_flow_predict(*args, **kwargs))
+        want = rollout_generate(v[:, :5], c, model.fdm, [stream(i, "roll-mod") for i in range(B)])
+        np.testing.assert_array_equal(got, want)
+
     def test_builds_no_tape(self, cfg, model, monkeypatch):
         seen = []
 
