@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 from pathlib import Path
 
 # One BLAS thread unless the caller set a count: the matmuls here are small,
@@ -43,28 +44,23 @@ from .training import (
 from .worldgen import generate_dataset, load_dataset, save_dataset
 
 
-def _file_sha(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _write_json(path, obj):
     Path(path).write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
-def _manifest(out_dir, command, cfg_hash, seed, files, started):
-    out_dir = Path(out_dir)
-    manifest = {
-        "command": command,
-        "config_hash": cfg_hash,
-        "seed": seed,
+def _manifest(args, out, started):
+    """manifest.json in --out: the command, its seed and times, and the
+    SHA-256 of each file it wrote."""
+    _write_json(Path(args.out) / "manifest.json", {
+        "command": out.command,
+        "config_hash": out.config_hash,
+        "seed": args.seed,
         "started": started,
         "finished": round(time.time(), 3),
-        "files": sorted(str(Path(f).name) for f in files),
-        "checksums": {Path(f).name: _file_sha(f) for f in sorted(files)},
-    }
-    path = out_dir / "manifest.json"
-    _write_json(path, manifest)
-    return path
+        "files": sorted(Path(f).name for f in out.files),
+        "checksums": {Path(f).name: hashlib.sha256(Path(f).read_bytes()).hexdigest()
+                      for f in out.files},
+    })
 
 
 def _load_model_dir(path):
@@ -87,8 +83,6 @@ def _load_model_dir(path):
 
 
 def _save_model_dir(out_dir, model, meta):
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / "checkpoint.bin"
     save_checkpoint(ckpt, model.numpy_params())
     meta = dict(meta)
@@ -101,32 +95,39 @@ def _save_model_dir(out_dir, model, meta):
 
 # ---- commands ----
 
+# What a command body returns: the command and config hash its manifest
+# records, the files it wrote, its summary line and its exit code.
+Outputs = namedtuple("Outputs", "command config_hash files summary exit_code",
+                     defaults=[0])
+
+
+def _out_dir(args):
+    """Create --out; each command calls this only once its inputs are checked."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 def cmd_gen(args):
-    started = round(time.time(), 3)
     config = load_config(args.spec) if args.spec else {}
     spec = build_section(config, "dgp", param_seed=args.seed)
     data_cfg = build_section(config, "data")
     dataset = generate_dataset(args.seed, spec, target_e=data_cfg.target_e,
                                m_target=data_cfg.m_target,
                                source_count=data_cfg.source_count)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    data_path = out_dir / "dataset.bin"
+    data_path = _out_dir(args) / "dataset.bin"
     save_dataset(data_path, dataset)
-    _manifest(out_dir, "gen", config_hash(config), args.seed, [data_path], started)
-    print(f"gen: wrote {data_path} ({len(dataset.episodes)} episodes)")
-    return 0
+    return Outputs("gen", config_hash(config), [data_path],
+                   f"gen: wrote {data_path} ({len(dataset.episodes)} episodes)")
 
 
 def cmd_train(args):
-    started = round(time.time(), 3)
     config = load_config(args.config) if args.config else {}
     train_cfg = _train_config(config, args.variant, args.seed)
     dataset = load_dataset(args.data)
     model_cfg = build_section(config, "model", d_v=dataset.spec.d_x,
                               n_embodiments=dataset.spec.n_embodiments)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     model = build_model(model_cfg, stream(train_cfg.seed, "model-init"),
                         with_gtcond=train_cfg.gt_action)
     files = []
@@ -140,10 +141,8 @@ def cmd_train(args):
     files += _save_model_dir(out_dir, model,
                              {"variant": train_cfg.variant, "seed": train_cfg.seed,
                               "with_a2l": False, "with_gtcond": train_cfg.gt_action})
-    _manifest(out_dir, f"train --variant {args.variant}", config_hash(config),
-              args.seed, files, started)
-    print(f"train: {args.variant} final L_total {rows[-1]['L_total']:.5f}")
-    return 0
+    return Outputs(f"train --variant {args.variant}", config_hash(config), files,
+                   f"train: {args.variant} final L_total {rows[-1]['L_total']:.5f}")
 
 
 def _train_config(config, variant, seed):
@@ -164,16 +163,18 @@ def _train_config(config, variant, seed):
 
 
 def cmd_eval(args):
-    started = round(time.time(), 3)
+    if args.episodes < 1:
+        raise ConfigError(f"--episodes must be at least 1, got {args.episodes}")
     models = {}
     for part in args.checkpoints.split(","):
         name, _, path = part.partition("=")
-        if not path:
+        if not name or not path:
             raise ConfigError(f"--checkpoints entries must be name=dir, got {part!r}")
+        if name in models:
+            raise ConfigError(f"--checkpoints names {name!r} more than once")
         models[name], _ = _load_model_dir(path)
     dataset = load_dataset(args.data)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     tables = ev.run_transfer_eval(models, dataset.spec, args.seed,
                                   n_episodes=args.episodes)
     csv_path = out_dir / "metrics.csv"
@@ -190,17 +191,13 @@ def cmd_eval(args):
     _write_json(json_path, {m: {t: {k: v for k, v in c.items() if k != "rows"}
                                 for t, c in tasks.items()}
                             for m, tasks in tables.items()})
-    _manifest(out_dir, "eval", "", args.seed, [csv_path, json_path], started)
-    print(f"eval: wrote {csv_path}")
-    return 0
+    return Outputs("eval", "", [csv_path, json_path], f"eval: wrote {csv_path}")
 
 
 def cmd_probe(args):
-    started = round(time.time(), 3)
     model, _ = _load_model_dir(args.checkpoint)
     dataset = load_dataset(args.data)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     report = ev.action_probe(model, dataset, seed=args.seed)
     z, u, e = ev.latents_with_ground_truth(model, dataset)
     report.update(ev.latent_recovery_score(z, u, e, seed=args.seed))
@@ -208,19 +205,15 @@ def cmd_probe(args):
     report["r2_inverse"] = {str(k): v for k, v in report["r2_inverse"].items()}
     path = out_dir / "probe.json"
     _write_json(path, report)
-    _manifest(out_dir, "probe", "", args.seed, [path], started)
-    print(f"probe: eval MSE {report['eval_mse']:.5f}")
-    return 0
+    return Outputs("probe", "", [path], f"probe: eval MSE {report['eval_mse']:.5f}")
 
 
 def cmd_leakage(args):
-    started = round(time.time(), 3)
     model, _ = _load_model_dir(args.checkpoint)
     dataset = load_dataset(args.data)
     clf, val_acc = ev.train_frame_classifier(dataset, seed=args.seed)
     ev.require_reliable_classifier(val_acc)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     rollouts = ev.leakage_rollouts(model, dataset, args.seed)
     report = ev.leakage_eval(rollouts, clf, val_acc)
     path = out_dir / "leakage.json"
@@ -231,21 +224,16 @@ def cmd_leakage(args):
         "TargetSource": report.target_source,
         "classifier_val_acc": val_acc,
     })
-    _manifest(out_dir, "leakage", "", args.seed, [path], started)
-    print(f"leakage: TargetShare {report.target_share:.4f}")
-    return 0
+    return Outputs("leakage", "", [path], f"leakage: TargetShare {report.target_share:.4f}")
 
 
 def cmd_a2l(args):
-    started = round(time.time(), 3)
     model, meta = _load_model_dir(args.checkpoint)
     dataset = load_dataset(args.data)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg_model = model.cfg
+    out_dir = _out_dir(args)
     if model.a2l is None:
         from .models import A2LParams
-        model.a2l = A2LParams(cfg_model, stream(args.seed, "a2l-init"))
+        model.a2l = A2LParams(model.cfg, stream(args.seed, "a2l-init"))
     train_cfg = make_config("shared-latent", seed=args.seed)
     pointwise = args.mode == "pointwise"
     ft = args.mode == "ft"
@@ -262,9 +250,8 @@ def cmd_a2l(args):
     _write_json(report_path, {"mode": args.mode, "eval_latent_mse": mse,
                               "final_train_loss": rows[-1]["L_total"]})
     files.append(report_path)
-    _manifest(out_dir, f"a2l --mode {args.mode}", "", args.seed, files, started)
-    print(f"a2l: {args.mode} eval latent MSE {mse:.6f}")
-    return 0
+    return Outputs(f"a2l --mode {args.mode}", "", files,
+                   f"a2l: {args.mode} eval latent MSE {mse:.6f}")
 
 
 def _a2l_eval_mse(model, dataset, seed, pointwise=False):
@@ -288,7 +275,6 @@ VMF_PRESETS = {
 
 
 def cmd_verify(args):
-    started = round(time.time(), 3)
     if args.preset not in VMF_PRESETS:
         raise ConfigError(f"unknown preset '{args.preset}' "
                           f"(choose from {sorted(VMF_PRESETS)})")
@@ -336,15 +322,12 @@ def cmd_verify(args):
                    "threshold": {"r2": 0.99, "r2_shuffled": 0.1,
                                  "state_dependence_gap": 0.01}})
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "verify.json"
+    path = _out_dir(args) / "verify.json"
     _write_json(path, {"preset": args.preset, "checks": checks})
-    _manifest(out_dir, f"verify --preset {args.preset}", "", args.seed,
-              [path], started)
     n_pass = sum(c["passed"] for c in checks)
-    print(f"verify: {n_pass}/{len(checks)} checks passed")
-    return 0 if n_pass == len(checks) else 2
+    return Outputs(f"verify --preset {args.preset}", "", [path],
+                   f"verify: {n_pass}/{len(checks)} checks passed",
+                   0 if n_pass == len(checks) else 2)
 
 
 def _mgf_check(preset, seed, n_probes=20, n_samples=100_000):
@@ -384,70 +367,49 @@ def make_parser():
                     "and numerical verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a synthetic dataset")
-    p.add_argument("--spec", help="flat-text config with [dgp]/[data] sections")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_gen)
+    def command(name, fn, text, *inputs):
+        """A subcommand with its required `inputs`, --out and --seed."""
+        p = sub.add_parser(name, help=text, description=text)
+        for flag in inputs:
+            p.add_argument(flag, required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("train", help="train one variant")
-    p.add_argument("--variant", required=True)
-    p.add_argument("--config", help="flat-text config with a [train] section")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("eval", help="transfer evaluation over checkpoints")
-    p.add_argument("--checkpoints", required=True,
-                   help="comma-separated name=dir entries")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--episodes", type=int, default=50)
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("probe", help="action probe + latent recovery scoring")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_probe)
-
-    p = sub.add_parser("leakage", help="embodiment leakage measurement")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_leakage)
-
-    p = sub.add_parser("a2l", help="train the action-to-latent controller")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("sequence", "pointwise", "ft"),
-                   default="sequence")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_a2l)
-
-    p = sub.add_parser("verify", help="numerical identifiability checks")
-    p.add_argument("--preset", default="vmf-default")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_verify)
-
+    # `cmd_*` is looked up here, at call time, so a wrapper set on the module
+    # attribute before `main` runs is the function that runs
+    command("gen", cmd_gen, "generate a synthetic dataset").add_argument(
+        "--spec", help="flat-text config with [dgp]/[data] sections")
+    command("train", cmd_train, "train one variant", "--variant", "--data").add_argument(
+        "--config", help="flat-text config with a [train] section")
+    command("eval", cmd_eval, "transfer evaluation over checkpoints given as "
+            "--checkpoints name=dir,...", "--checkpoints", "--data").add_argument(
+        "--episodes", type=int, default=50)
+    command("probe", cmd_probe, "action probe + latent recovery scoring",
+            "--checkpoint", "--data")
+    command("leakage", cmd_leakage, "embodiment leakage measurement",
+            "--checkpoint", "--data")
+    command("a2l", cmd_a2l, "train the action-to-latent controller",
+            "--checkpoint", "--data").add_argument(
+        "--mode", choices=("sequence", "pointwise", "ft"), default="sequence")
+    command("verify", cmd_verify, "numerical identifiability checks").add_argument(
+        "--preset", default="vmf-default")
     return parser
 
 
 def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
+    started = round(time.time(), 3)
     try:
-        return args.fn(args)
+        out = args.fn(args)
+        _manifest(args, out, started)
     except (ConfigError, FileNotFoundError, KeyError, ValueError, OSError,
             TrainingAborted) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    print(out.summary)
+    return out.exit_code
 
 
 if __name__ == "__main__":

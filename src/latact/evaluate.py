@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .autodiff import Tensor, gelu_backward, gelu_forward, log_softmax, no_grad
+from .autodiff import gelu_backward, gelu_forward, log_softmax, no_grad
 from .fitting import fit_logistic_probe, fit_mlp, r2_score
 from .models import (
     cond_sequence,
@@ -16,7 +16,7 @@ from .models import (
     pad_actions,
     rollout_generate,
 )
-from .nn import Mlp, init_linear
+from .nn import init_linear
 from .optim import AdamW
 from .rng import stream
 from .training import posterior_mean_targets
@@ -113,8 +113,8 @@ def rollout_episode(model, episode, rng, c_seq=None):
     return rollout_generate(episode.x[..., :f_hist, :].astype(F32), c_seq, model.fdm, rng)
 
 
-# `frame_from_obs` renders whole stacks; this name stays for callers outside
-# the package
+# `frame_from_obs` renders whole stacks; this name stays because
+# perfbench/workloads.py calls it
 frames_from_obs_seq = frame_from_obs
 
 
@@ -183,7 +183,7 @@ class FrameClassifier:
     def __init__(self, n_classes, rng, frame_size=16):
         self.w_conv, self.b_conv = init_linear(rng, 9, self.channels)
         n_feat = (frame_size - 2) ** 2 * self.channels
-        self.head = Mlp([n_feat, n_classes], rng, activation="gelu")
+        self.w_head, self.b_head = init_linear(rng, n_feat, n_classes)
 
     @staticmethod
     def _patches(frames, out=None):
@@ -198,21 +198,29 @@ class FrameClassifier:
             grid[..., k] = frames[:, dy:H - 2 + dy, dx:W - 2 + dx]
         return out.reshape(n, -1, 9)
 
-    def logits(self, frames):
-        patches = Tensor(self._patches(frames))
-        h = (patches @ self.w_conv + self.b_conv).gelu()
-        return self.head(h.reshape(h.shape[0], -1))
+    def _forward(self, patches, x=None, t=None, y=None, buf=None):
+        """(h, logits) of (n, positions, 9) patches: the flat gelu features
+        and the head's logits. The operations and their order are those of
+        the autodiff engine's matmul, add, gelu and reshape, so the bits are
+        a taped forward's. x, t, y and buf are (n, positions, channels)
+        float32 buffers, allocated when not given; x receives the conv
+        output, t gelu's tanh term and y the gelu output, which h views."""
+        n = len(patches)
+        x = np.matmul(patches, self.w_conv.data, out=x)
+        rows = x.reshape(n, -1)
+        rows += np.tile(self.b_conv.data, x.shape[1])   # the broadcast's adds, as one row add
+        _, y = gelu_forward(x, t, y, buf)
+        h = y.reshape(n, -1)
+        return h, h @ self.w_head.data + self.b_head.data
 
     def probs(self, frames):
-        with no_grad():
-            logits = self.logits(frames).data
+        _, logits = self._forward(self._patches(frames))
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         return e / e.sum(axis=1, keepdims=True)
 
     def params(self):
-        out = {"conv.w": self.w_conv, "conv.b": self.b_conv}
-        out.update(self.head.params())
-        return out
+        return {"conv.w": self.w_conv, "conv.b": self.b_conv,
+                "head.w": self.w_head, "head.b": self.b_head}
 
 
 def train_frame_classifier(dataset, seed=0):
@@ -251,25 +259,19 @@ def train_frame_classifier(dataset, seed=0):
 
 def _classifier_grads(clf, patches, labels, bufs):
     """Set each classifier parameter's grad to that of the mean softmax
-    cross-entropy on (n, positions, 9) patches. The operations and their
-    order are those of the autodiff engine's matmul, add, gelu, reshape and
-    softmax_cross_entropy passes over `FrameClassifier.logits`, so the bits
-    match a taped step. `bufs` holds five (n, positions, channels) float32
-    arrays that are overwritten."""
+    cross-entropy on (n, positions, 9) patches, in the operation order of
+    the autodiff engine's backward passes over `FrameClassifier._forward`
+    and softmax_cross_entropy, so the bits match a taped step. `bufs` holds
+    five (n, positions, channels) float32 arrays that are overwritten."""
     x, t, y, dh, buf = bufs
     n = len(labels)
-    (w_head, b_head), = clf.head.layers
-    np.matmul(patches, clf.w_conv.data, out=x)
-    rows = x.reshape(n, -1)
-    rows += np.tile(clf.b_conv.data, x.shape[1])   # the broadcast's adds, as one row add
-    gelu_forward(x, t, y, buf)
-    h = y.reshape(n, -1)
-    g = np.exp(log_softmax(h @ w_head.data + b_head.data))
+    h, logits = clf._forward(patches, x, t, y, buf)
+    g = np.exp(log_softmax(logits))
     g[np.arange(n), labels] -= 1.0
     g /= n
-    b_head.grad = g.sum(axis=0)
-    w_head.grad = h.T @ g
-    np.matmul(g, w_head.data.T, out=dh.reshape(n, -1))
+    clf.b_head.grad = g.sum(axis=0)
+    clf.w_head.grad = h.T @ g
+    np.matmul(g, clf.w_head.data.T, out=dh.reshape(n, -1))
     d = gelu_backward(x, t, dh, out=y, buf=buf)
     clf.b_conv.grad = d.sum(axis=(0, 1))    # slow, but `ones @ d` changes the bits
     clf.w_conv.grad = patches.reshape(-1, 9).T @ d.reshape(-1, clf.channels)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, log_softmax, no_grad, softmax_cross_entropy
+from .autodiff import Tensor, log_softmax, no_grad
 from .fitting import (
     energy_permutation_test,
     fit_linear,
@@ -288,7 +288,8 @@ def _saddle_report(exp, test, Mt, W, b):
         return {"ok": False, "reason": "rank collapse"}
 
     logits_test = x_test @ M.T @ W.astype(np.float64) + b
-    ce_test = float(softmax_cross_entropy(Tensor(logits_test.astype(F32)), e_test).data)
+    logp_test = log_softmax(logits_test.astype(F32))
+    ce_test = float(-logp_test[np.arange(len(e_test)), e_test].mean())
     diffs = [exp.centers[i] - exp.centers[j]
              for i in range(exp.n_embodiments) for j in range(i + 1, exp.n_embodiments)]
     inv_stat = max(np.linalg.norm(M @ d) for d in diffs) / svals.max()

@@ -1,16 +1,21 @@
-"""The benchmark's view of the program, checked without running it.
+"""The benchmark's view of the program.
 
 `perfbench/` reaches into the package from outside: its tracer wraps named
 functions and its op figures call models and the optimizer directly. A
 rename or deletion there leaves a per-layer figure null; these tests fail
-on it in seconds. They read `perfbench/` and change nothing in it.
+on it in seconds, without running the benchmark. One slow test runs a
+short traced benchmark as a subprocess and reads its result line. They
+change nothing in `perfbench/`.
 """
 
 import importlib.util
 import json
 import math
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from latact import evaluate as ev
 from latact import theory
@@ -142,3 +147,24 @@ def test_tracer_records_verify_saddle_spans():
     assert len(ix.select("theory.saddle_train", ["verify"])) == 1
     # per game: the held-out set and one 60-step chunk
     assert len(ix.select("worldgen.vmf_sample", ["verify"])) == 6
+
+
+@pytest.mark.slow
+def test_traced_run_prints_one_strict_result_line():
+    # a traced run executes every workload's commands, and the op figures
+    # and the gradient check outside the commands' stdout redirect; the
+    # benchmark's result must still be its only stdout line, strict JSON
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "train-pipeline",
+         "--seed", "0", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=900)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1, proc.stdout[-2000:]
+
+    def reject(constant):
+        raise ValueError(f"non-finite number {constant} in the result line")
+
+    result = json.loads(lines[0], parse_constant=reject)
+    assert result["correct"] is True and result["failed"] == 0, proc.stderr[-2000:]
+    assert [k for k, m in result["metrics"].items() if m["value"] is None] == []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shlex
@@ -30,16 +31,35 @@ steps = 12
 """
 
 
+def _run(command, argv, rc=0):
+    """Run `latact` on argv, expect exit code `rc`, and check the manifest it
+    wrote in --out: the command string perfbench expects, the seed, exactly
+    the files on disk with their SHA-256, and started <= finished. Returns
+    --out."""
+    argv = [str(a) for a in argv]
+    assert main(argv) == rc
+    out = Path(argv[argv.index("--out") + 1])
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["command"] == command
+    assert man["seed"] == (int(argv[argv.index("--seed") + 1]) if "--seed" in argv else 0)
+    assert man["files"] == sorted(man["checksums"])
+    assert set(man["files"]) == {p.name for p in out.iterdir()} - {"manifest.json"}
+    for name, digest in man["checksums"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    assert man["started"] <= man["finished"]
+    return out
+
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     cfg = root / "cfg.txt"
     cfg.write_text(CFG)
-    assert main(["gen", "--spec", str(cfg), "--out", str(root / "data"),
-                 "--seed", "0"]) == 0
-    assert main(["train", "--variant", "scar-kl-grl", "--config", str(cfg),
-                 "--data", str(root / "data" / "dataset.bin"),
-                 "--out", str(root / "run"), "--seed", "0"]) == 0
+    _run("gen", ["gen", "--spec", cfg, "--out", root / "data", "--seed", "0"])
+    _run("train --variant scar-kl-grl",
+         ["train", "--variant", "scar-kl-grl", "--config", cfg,
+          "--data", root / "data" / "dataset.bin", "--out", root / "run", "--seed", "0"])
     return root
 
 
@@ -52,8 +72,7 @@ class TestGen:
 
     def test_byte_identical_regeneration(self, workdir, tmp_path):
         cfg = workdir / "cfg.txt"
-        assert main(["gen", "--spec", str(cfg), "--out", str(tmp_path / "d2"),
-                     "--seed", "0"]) == 0
+        _run("gen", ["gen", "--spec", cfg, "--out", tmp_path / "d2", "--seed", "0"])
         a = (workdir / "data" / "dataset.bin").read_bytes()
         b = (tmp_path / "d2" / "dataset.bin").read_bytes()
         assert a == b
@@ -78,9 +97,9 @@ class TestGen:
         assert [(ep.e, ep.lighting) for ep in a.episodes] == \
             [(ep.e, ep.lighting) for ep in b.episodes]
         for data, out in ((new, "r-new"), (old, "r-old")):
-            assert main(["train", "--variant", "scar-kl-grl",
-                         "--config", str(workdir / "cfg.txt"), "--data", str(data),
-                         "--out", str(tmp_path / out), "--seed", "0"]) == 0
+            _run("train --variant scar-kl-grl",
+                 ["train", "--variant", "scar-kl-grl", "--config", workdir / "cfg.txt",
+                  "--data", data, "--out", tmp_path / out, "--seed", "0"])
         for name in ("checkpoint.bin", "log.csv", "model.json"):
             assert (tmp_path / "r-new" / name).read_bytes() == \
                 (tmp_path / "r-old" / name).read_bytes(), name
@@ -114,9 +133,10 @@ class TestTrain:
 
     def test_deterministic_checkpoint(self, workdir, tmp_path):
         cfg = workdir / "cfg.txt"
-        assert main(["train", "--variant", "scar-kl-grl", "--config", str(cfg),
-                     "--data", str(workdir / "data" / "dataset.bin"),
-                     "--out", str(tmp_path / "r2"), "--seed", "0"]) == 0
+        _run("train --variant scar-kl-grl",
+             ["train", "--variant", "scar-kl-grl", "--config", cfg,
+              "--data", workdir / "data" / "dataset.bin", "--out", tmp_path / "r2",
+              "--seed", "0"])
         a = (workdir / "run" / "checkpoint.bin").read_bytes()
         b = (tmp_path / "r2" / "checkpoint.bin").read_bytes()
         assert a == b
@@ -145,27 +165,25 @@ class TestTrain:
     def test_every_variant_trains_with_default_weights(self, variant, workdir, tmp_path):
         cfg = tmp_path / "short.txt"
         cfg.write_text("[train]\nsteps = 3\n")
-        out = tmp_path / "r"
-        assert main(["train", "--variant", variant, "--config", str(cfg),
-                     "--data", str(workdir / "data" / "dataset.bin"),
-                     "--out", str(out)]) == 0
+        out = _run(f"train --variant {variant}",
+                   ["train", "--variant", variant, "--config", cfg,
+                    "--data", workdir / "data" / "dataset.bin", "--out", tmp_path / "r"])
         assert json.loads((out / "model.json").read_text())["variant"] == variant
 
     def test_explicit_zero_weights_stay_valid(self, workdir, tmp_path):
         cfg = tmp_path / "zeroed.txt"
         cfg.write_text("[train]\nsteps = 3\nbeta = 0\nlam_adv = 0\n")
-        assert main(["train", "--variant", "gt-action-baseline", "--config", str(cfg),
-                     "--data", str(workdir / "data" / "dataset.bin"),
-                     "--out", str(tmp_path / "r")]) == 0
+        _run("train --variant gt-action-baseline",
+             ["train", "--variant", "gt-action-baseline", "--config", cfg,
+              "--data", workdir / "data" / "dataset.bin", "--out", tmp_path / "r"])
 
     def test_pretraining_uses_model_section(self, workdir, tmp_path):
         cfg = tmp_path / "narrow.txt"
         cfg.write_text("[model]\nfdm_hidden = 64,64\n"
                        "[train]\nsteps = 3\npretrain_steps = 3\npretrain_fdm = true\n")
-        out = tmp_path / "r"
-        assert main(["train", "--variant", "scar-kl-grl", "--config", str(cfg),
-                     "--data", str(workdir / "data" / "dataset.bin"),
-                     "--out", str(out)]) == 0
+        out = _run("train --variant scar-kl-grl",
+                   ["train", "--variant", "scar-kl-grl", "--config", cfg,
+                    "--data", workdir / "data" / "dataset.bin", "--out", tmp_path / "r"])
         assert (out / "pretrain_log.csv").exists()
         tensors = load_checkpoint(out / "checkpoint.bin")
         assert tensors["fdm.block0.w"].shape[-1] == 64
@@ -230,10 +248,9 @@ def _edit_header(src, dst, edit):
 
 class TestEvalProbe:
     def test_eval_outputs(self, workdir, tmp_path):
-        out = tmp_path / "ev"
-        assert main(["eval", "--checkpoints", f"m={workdir / 'run'}",
-                     "--data", str(workdir / "data" / "dataset.bin"),
-                     "--out", str(out), "--episodes", "2"]) == 0
+        out = _run("eval", ["eval", "--checkpoints", f"m={workdir / 'run'}",
+                            "--data", workdir / "data" / "dataset.bin",
+                            "--out", tmp_path / "ev", "--episodes", "2"])
         lines = (out / "metrics.csv").read_text().splitlines()
         assert lines[0] == "method,task,SSIM,PSNR,MSE,SSIM-L"
         assert len(lines) == 3  # header + target + transfer
@@ -247,11 +264,23 @@ class TestEvalProbe:
         assert rc == 1
         assert "name=dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entries, episodes, words", [
+        ("={run}", "2", "name=dir, got '="),
+        ("m={run},m={run}", "2", "names 'm' more than once"),
+        ("m={run}", "0", "--episodes must be at least 1, got 0"),
+    ])
+    def test_eval_refuses_bad_options(self, workdir, tmp_path, capsys, entries, episodes, words):
+        rc = main(["eval", "--checkpoints", entries.format(run=workdir / "run"),
+                   "--data", str(workdir / "data" / "dataset.bin"),
+                   "--out", str(tmp_path / "ev"), "--episodes", episodes])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and words in err
+        assert not (tmp_path / "ev").exists()
+
     def test_probe_report(self, workdir, tmp_path):
-        out = tmp_path / "pr"
-        assert main(["probe", "--checkpoint", str(workdir / "run"),
-                     "--data", str(workdir / "data" / "dataset.bin"),
-                     "--out", str(out)]) == 0
+        out = _run("probe", ["probe", "--checkpoint", workdir / "run",
+                             "--data", workdir / "data" / "dataset.bin", "--out", tmp_path / "pr"])
         rep = json.loads((out / "probe.json").read_text())
         for key in ("eval_mse", "min_r2_forward", "probe_accuracy",
                     "mi_lower_bound"):
@@ -337,10 +366,10 @@ class TestEvalProbe:
 class TestA2l:
     @pytest.mark.parametrize("mode", ["sequence", "pointwise", "ft"])
     def test_mode(self, workdir, tmp_path, mode):
-        out = tmp_path / "a2l"
-        assert main(["a2l", "--checkpoint", str(workdir / "run"),
-                     "--data", str(workdir / "data" / "dataset.bin"),
-                     "--out", str(out), "--mode", mode]) == 0
+        out = _run(f"a2l --mode {mode}",
+                   ["a2l", "--checkpoint", workdir / "run",
+                    "--data", workdir / "data" / "dataset.bin",
+                    "--out", tmp_path / "a2l", "--mode", mode])
         rep = json.loads((out / "a2l.json").read_text())
         assert rep["mode"] == mode
         assert rep["eval_latent_mse"] >= 0
@@ -376,12 +405,40 @@ class TestVerify:
         assert "vmf-enormous" in capsys.readouterr().err
 
     def test_small_preset_passes(self, tmp_path):
-        out = tmp_path / "v"
-        assert main(["verify", "--preset", "vmf-small", "--out", str(out)]) == 0
+        out = _run("verify --preset vmf-small",
+                   ["verify", "--preset", "vmf-small", "--out", tmp_path / "v"])
         rep = json.loads((out / "verify.json").read_text())
         names = {c["check"] for c in rep["checks"]}
         assert names == {"saddle", "mgf", "bessel-recurrence", "idm-lemma"}
         assert all(c["passed"] for c in rep["checks"])
+
+    def test_failed_check_exits_2_and_writes_the_manifest(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_mgf_check",
+                            lambda preset, seed: {"worst_z": 9.0, "n_probes": 20})
+        out = _run("verify --preset vmf-small",
+                   ["verify", "--preset", "vmf-small", "--out", tmp_path / "v", "--seed", "4"],
+                   rc=2)
+        rep = json.loads((out / "verify.json").read_text())
+        assert [c["check"] for c in rep["checks"] if not c["passed"]] == ["mgf"]
+        assert capsys.readouterr().out == "verify: 3/4 checks passed\n"
+
+
+def test_main_runs_the_command_bound_on_the_module(tmp_path, monkeypatch, capsys):
+    # perfbench's tracer replaces `cli.cmd_*` before `main` runs; the
+    # replacement is what must run
+    calls = []
+
+    def fake_probe(args):
+        calls.append(args.checkpoint)
+        path = cli._out_dir(args) / "probe.json"
+        path.write_text("{}\n")
+        return cli.Outputs("probe", "", [path], "probe: replaced")
+
+    monkeypatch.setattr(cli, "cmd_probe", fake_probe)
+    _run("probe", ["probe", "--checkpoint", "ckpt", "--data", "data.bin",
+                   "--out", tmp_path / "pr", "--seed", "7"])
+    assert calls == ["ckpt"]
+    assert capsys.readouterr().out == "probe: replaced\n"
 
 
 def test_missing_data_file_is_one_line_error(tmp_path, capsys):

@@ -173,7 +173,7 @@ def _slice_patches(frames):
 
 def _taped_logits(clf, frames):
     h = (Tensor(_slice_patches(frames)) @ clf.w_conv + clf.b_conv).gelu()
-    return clf.head(h.reshape(h.shape[0], -1))
+    return h.reshape(h.shape[0], -1) @ clf.w_head + clf.b_head
 
 
 def _taped_probs(clf, frames):
