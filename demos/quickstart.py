@@ -28,7 +28,8 @@ for variant in ("scar-kl-grl", "shared-latent"):
     print(f"  final L_rec (50-step tail): {tail:.4f}")
 
 print("evaluating rollouts on held-out target and transfer tasks")
-tables = ev.run_transfer_eval(models, spec, seed=0, n_episodes=10)
+tables = ev.run_transfer_eval(models, spec, seed=0, n_episodes=10,
+                             target_e=dataset.target_e)
 print(f"{'method':>14} {'task':>9} {'SSIM':>7} {'PSNR':>7} {'MSE':>9}")
 for method, tasks in tables.items():
     for task in ("target", "transfer"):

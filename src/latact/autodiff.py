@@ -386,10 +386,11 @@ def softmax_cross_entropy(logits, labels):
 def layer_norm(h, gain, bias):
     """Normalize the last axis to zero mean / unit variance, then gain, bias."""
     x = h.data
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    d = x - x.mean(axis=-1, keepdims=True)
+    # numpy's `var` in its own operation order, without taking `x - mean` again
+    var = (d * d).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = (x - mu) * inv
+    xhat = d * inv
     out_data = xhat * gain.data + bias.data
 
     def bw(g):

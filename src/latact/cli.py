@@ -28,7 +28,7 @@ from . import evaluate as ev
 from . import theory
 from .autodiff import no_grad
 from .config import ConfigError, build_section, config_hash, load_config
-from .models import ModelConfig, build_model
+from .models import ModelConfig, build_model, dataset_fields
 from .rng import stream
 from .serialize import load_checkpoint, save_checkpoint
 from .training import (
@@ -112,6 +112,9 @@ def cmd_gen(args):
     config = load_config(args.spec) if args.spec else {}
     spec = build_section(config, "dgp", param_seed=args.seed)
     data_cfg = build_section(config, "data")
+    if not 0 <= data_cfg.target_e < spec.n_embodiments:
+        raise ConfigError(f"[data] target_e must be one of the {spec.n_embodiments} "
+                          f"embodiments, got {data_cfg.target_e}")
     dataset = generate_dataset(args.seed, spec, target_e=data_cfg.target_e,
                                m_target=data_cfg.m_target,
                                source_count=data_cfg.source_count)
@@ -125,8 +128,7 @@ def cmd_train(args):
     config = load_config(args.config) if args.config else {}
     train_cfg = _train_config(config, args.variant, args.seed)
     dataset = load_dataset(args.data)
-    model_cfg = build_section(config, "model", d_v=dataset.spec.d_x,
-                              n_embodiments=dataset.spec.n_embodiments)
+    model_cfg = build_section(config, "model", **dataset_fields(dataset.spec))
     out_dir = _out_dir(args)
     model = build_model(model_cfg, stream(train_cfg.seed, "model-init"),
                         with_gtcond=train_cfg.gt_action)
@@ -176,7 +178,7 @@ def cmd_eval(args):
     dataset = load_dataset(args.data)
     out_dir = _out_dir(args)
     tables = ev.run_transfer_eval(models, dataset.spec, args.seed,
-                                  n_episodes=args.episodes)
+                                  n_episodes=args.episodes, target_e=dataset.target_e)
     csv_path = out_dir / "metrics.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -254,7 +256,7 @@ def cmd_a2l(args):
                    f"a2l: {args.mode} eval latent MSE {mse:.6f}")
 
 
-def _a2l_eval_mse(model, dataset, seed, pointwise=False):
+def _a2l_eval_mse(model, dataset, seed, pointwise):
     from .models import a2l_predict
 
     episodes = ev.eval_episodes(dataset.spec, seed, 20, dataset.target_e)

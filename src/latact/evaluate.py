@@ -146,8 +146,9 @@ def evaluate_rollouts(models, episodes, spec, seed):
     return rows, token_mse
 
 
-def run_transfer_eval(models, spec, seed, n_episodes=50):
-    """Target-task and transfer-task metric tables per method.
+def run_transfer_eval(models, spec, seed, n_episodes, target_e):
+    """Target-task and transfer-task metric tables per method, each on
+    `n_episodes` held-out episodes of embodiment `target_e`.
 
     The transfer task is the same process with the goal offset mirrored.
     Returns {method: {task: {"rows": [MetricRow], "mse": mean frame MSE,
@@ -156,7 +157,7 @@ def run_transfer_eval(models, spec, seed, n_episodes=50):
     tasks = {"target": spec, "transfer": transfer_spec(spec)}
     out = {name: {} for name in models}
     for task, task_spec in tasks.items():
-        episodes = eval_episodes(task_spec, seed, n_episodes, 0)
+        episodes = eval_episodes(task_spec, seed, n_episodes, target_e)
         all_rows, all_token_mse = evaluate_rollouts(models, episodes, task_spec, seed)
         for name in models:
             rows, token_mse = all_rows[name], all_token_mse[name]
@@ -180,7 +181,7 @@ class FrameClassifier:
 
     channels = 8
 
-    def __init__(self, n_classes, rng, frame_size=16):
+    def __init__(self, n_classes, rng, frame_size):
         self.w_conv, self.b_conv = init_linear(rng, 9, self.channels)
         n_feat = (frame_size - 2) ** 2 * self.channels
         self.w_head, self.b_head = init_linear(rng, n_feat, n_classes)
@@ -223,7 +224,7 @@ class FrameClassifier:
                 "head.w": self.w_head, "head.b": self.b_head}
 
 
-def train_frame_classifier(dataset, seed=0):
+def train_frame_classifier(dataset, seed):
     """Independent single-frame embodiment classifier, trained
     CLASSIFIER_STEPS steps on four random frames per dataset episode;
     returns (classifier, validation accuracy)."""
@@ -323,7 +324,7 @@ def leakage_eval(rollouts, classifier, val_acc):
 
 # ---- action probe ----
 
-def action_probe(model, dataset, seed=0, steps=800, n_eval=20):
+def action_probe(model, dataset, seed, steps=800, n_eval=20):
     """Small regressor from posterior-mean latents to raw actions on the
     target embodiment; train on the dataset's target episodes, evaluate on
     held-out episodes. The probed model is never mutated."""
@@ -334,7 +335,7 @@ def action_probe(model, dataset, seed=0, steps=800, n_eval=20):
         z = posterior_mean_targets(model, episodes).reshape(-1, model.cfg.d_z)
         return z, np.vstack([ep.a for ep in episodes]).astype(F32)
 
-    train_eps = [ep for ep in dataset.episodes if ep.e == target_e]
+    train_eps = dataset.by_embodiment(target_e)
     eval_eps = eval_episodes(spec, seed, n_eval, target_e)
     z_tr, a_tr = collect(train_eps)
     z_ev, a_ev = collect(eval_eps)

@@ -45,7 +45,7 @@ def fit_linear(x, y):
     return predict
 
 
-def fit_mlp(x, y, steps=800, seed=0):
+def fit_mlp(x, y, steps, seed=0):
     """Train a small MLP regressor (two tanh layers of 32) with AdamW on
     minibatches of up to 256 rows; returns predict(x)."""
     x = np.asarray(x, F32)
@@ -69,7 +69,7 @@ def fit_mlp(x, y, steps=800, seed=0):
     return predict
 
 
-def fit_logistic_probe(z, labels, n_classes, steps=600, seed=0):
+def fit_logistic_probe(z, labels, n_classes, steps=600, *, seed):
     """Multinomial logistic probe; returns (predict_logits, final mean CE)."""
     z = np.asarray(z, F32)
     labels = np.asarray(labels)
@@ -109,7 +109,7 @@ def energy_distance(x, y):
 N_PERMUTATIONS = 200
 
 
-def energy_permutation_test(x, y, seed=0):
+def energy_permutation_test(x, y, seed):
     """p-value for H0: same distribution, via label permutation."""
     rng = stream(seed, "energy-perm")
     x = np.asarray(x, np.float64)

@@ -42,7 +42,7 @@ class ModelConfig:
     d_v: int = 12              # latent token width (identity encoder: = d_x)
     d_z: int = 8               # latent action width
     d_c: int = 16              # conditioning width after temporal conv
-    d_a_max: int = 5           # padded raw-action width for action baselines
+    d_a_max: int = 5           # raw-action interface width (data: = d_a)
     n_embodiments: int = 4
     idm_hidden: tuple = (64, 64, 64)
     fdm_hidden: tuple = (128, 128, 128)
@@ -61,6 +61,15 @@ class ModelConfig:
             raise ValueError("p_clean must lie in [0, 1]")
         if self.n_euler_steps < 1:
             raise ValueError("n_euler_steps must be >= 1")
+        if self.f_hist < 1:
+            raise ValueError("f_hist must be >= 1: the last history token is "
+                             "the forward model's clean context")
+
+
+def dataset_fields(spec):
+    """The ModelConfig fields a dataset's DGPSpec sets: the token width, the
+    raw-action width and the embodiment count."""
+    return {"d_v": spec.d_x, "d_a_max": spec.d_a, "n_embodiments": spec.n_embodiments}
 
 
 @dataclass

@@ -154,7 +154,7 @@ class VmfExperiment:
     b: np.ndarray              # (|E|,) classifier bias
 
 
-def make_vmf_experiment(d_a=6, d_z=3, n_embodiments=4, kappa=8.0, seed=0):
+def make_vmf_experiment(d_a=6, d_z=3, n_embodiments=4, kappa=8.0, *, seed):
     """Place unit cluster centers so their pairwise differences span a
     (d_a - d_z)-dimensional subspace exactly; each center sits 1.05 rad off
     a common axis orthogonal to that subspace."""
@@ -330,7 +330,7 @@ def _collect_transitions(spec, n_episodes, T, seed):
             np.vstack(aa).astype(F32), np.vstack(ss).astype(F32))
 
 
-def train_linear_idm_fdm(spec, steps=3000, seed=0):
+def train_linear_idm_fdm(spec, steps, seed):
     """Jointly train a linear IDM (observation pair -> recovered action) and
     a linear FDM on the state-reconstruction objective.
 
@@ -383,7 +383,7 @@ def state_dependence_gap(a_tilde, a, s):
     return r2_as - r2_a, r2_a, r2_as
 
 
-def idm_lemma_check(seed=0, steps=3000):
+def idm_lemma_check(seed, steps=3000):
     """Numerical check that the jointly trained inverse model recovers the
     raw action up to an invertible reparameterization, independent of state,
     on the linear process of `make_linear_dgp`."""
@@ -393,11 +393,10 @@ def idm_lemma_check(seed=0, steps=3000):
     a_tilde = idm(np.hstack([x_t, x_n]))
     n = len(a)
     tr, te = slice(0, n // 2), slice(n // 2, n)
-    fwd = fit_linear(a[tr], a_tilde[tr])
+    # the forward fit a -> a_tilde is the state-free fit of the gap
+    gap, r2_fwd, _ = state_dependence_gap(a_tilde, a, s_t)
     inv = fit_linear(a_tilde[tr], a[tr])
-    r2_fwd = r2_score(a_tilde[te], fwd(a[te]))
     r2_inv = r2_score(a[te], inv(a_tilde[te]))
-    gap, _, _ = state_dependence_gap(a_tilde, a, s_t)
     # negative control: with the pairing broken, no linear map should explain
     # the recovered action from the raw one
     perm = stream(seed + 2, "lemma-shuffle").permutation(n)
@@ -418,7 +417,7 @@ def idm_lemma_check(seed=0, steps=3000):
 
 # ---- pushforward / transfer check ----
 
-def pushforward_and_transfer_check(z, u, e_labels, seed=0, mlp_steps=800):
+def pushforward_and_transfer_check(z, u, e_labels, seed, mlp_steps=800):
     """Fit per-embodiment maps u -> z and z -> u, compare z | e laws
     pairwise by energy distance, and score the cross-embodiment alignment
     map (compose one embodiment's inverse with another's forward)."""

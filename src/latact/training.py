@@ -17,6 +17,7 @@ from .models import (
     a2l_predict,
     build_model,
     cond_sequence,
+    dataset_fields,
     diffusion_forcing_schedule,
     disc_classify,
     fdm_flow_predict,
@@ -117,7 +118,7 @@ def make_config(variant, **overrides):
 
 def _episode_pool(dataset, config):
     if config.target_only:
-        pool = [ep for ep in dataset.episodes if ep.e == dataset.target_e]
+        pool = dataset.by_embodiment(dataset.target_e)
     else:
         pool = list(dataset.episodes)
     if not pool:
@@ -262,11 +263,9 @@ def _optimizers(model, config):
 def train_scar(dataset, config, model=None, log_path=None):
     """Train one variant; returns (model, log rows). Pass the model that
     `pretrain_fdm` returned to start from a pretrained forward model."""
-    cfg_model = ModelConfig(d_v=dataset.spec.d_x,
-                            n_embodiments=dataset.spec.n_embodiments)
     if model is None:
-        model = build_model(cfg_model, stream(config.seed, "model-init"),
-                            with_gtcond=config.gt_action)
+        model = build_model(ModelConfig(**dataset_fields(dataset.spec)),
+                            stream(config.seed, "model-init"), with_gtcond=config.gt_action)
     pool = _episode_pool(dataset, config)
     batch_rng = stream(config.seed, f"train:{config.variant}:batches")
     loss_rng = stream(config.seed, f"train:{config.variant}:noise")
@@ -283,10 +282,9 @@ def train_scar(dataset, config, model=None, log_path=None):
 def pretrain_fdm(dataset, config, model=None, log_path=None):
     """Action-free pretraining: the forward model learns the flow with the
     conditioning path zeroed, so only unconditional dynamics are absorbed."""
-    cfg_model = ModelConfig(d_v=dataset.spec.d_x,
-                            n_embodiments=dataset.spec.n_embodiments)
     if model is None:
-        model = build_model(cfg_model, stream(config.seed, "model-init"))
+        model = build_model(ModelConfig(**dataset_fields(dataset.spec)),
+                            stream(config.seed, "model-init"))
     pool = list(dataset.episodes)
     opt = AdamW(model.fdm.params(), lr=config.lr_idm, wd=config.wd_fdm)
     batch_rng = stream(config.seed, "pretrain:batches")
@@ -321,7 +319,7 @@ def train_a2l(model, dataset, config, pointwise=False, ft=False, log_path=None):
     if model.a2l is None:
         raise ValueError("model was built without an A2L head")
     cfg = model.cfg
-    pool = [ep for ep in dataset.episodes if ep.e == dataset.target_e]
+    pool = dataset.by_embodiment(dataset.target_e)
     if not pool:
         raise ValueError("no target-embodiment episodes for A2L training")
     targets = posterior_mean_targets(model, pool)

@@ -44,6 +44,8 @@ class DGPSpec:
             raise ValueError("raw action dim must be >= unified action dim")
         if self.nuisance_dim > self.d_x:
             raise ValueError("nuisance block larger than observation")
+        if self.mixing not in ("mix", "identity"):
+            raise ValueError(f"mixing must be 'mix' or 'identity', got {self.mixing!r}")
         self._draw_params()
 
     def _draw_params(self):
@@ -215,7 +217,7 @@ class Dataset:
         return [ep for ep in self.episodes if ep.e == e]
 
 
-def generate_dataset(seed, spec, target_e=0, m_target=10, source_count=300):
+def generate_dataset(seed, spec, target_e=0, *, m_target, source_count):
     """Low-data target + plentiful sources; episodes ordered by (e, index)."""
     episodes = []
     for e in spec.embodiments:
@@ -254,7 +256,8 @@ def save_dataset(path, dataset):
 
 
 def load_dataset(path):
-    """Read a `save_dataset` file. Only the first two meta values are read,
+    """Read a `save_dataset` file. Each episode's records must have the
+    shapes the header's spec gives; only the first two meta values are read,
     so files that also store a per-episode clip flag there still load."""
     with open(path, "rb") as fh:
         (hlen,) = struct.unpack("<I", read_exact(fh, 4, path, "header length"))
@@ -279,10 +282,21 @@ def load_dataset(path):
     n_records = n_episodes * len(_EPISODE_RECORDS)
     if len(records) != n_records:
         raise ValueError(f"{path}: holds {len(records)} records, header promises {n_records}")
+    T = spec.T
+    shapes = {"x": (T, spec.d_x), "a": (T - 1, spec.d_a), "u": (T - 1, spec.d_u),
+              "s": (T, spec.d_s)}
     episodes = []
     for i in range(n_episodes):
         p = f"ep{i:05d}"
+        for name, shape in shapes.items():
+            got = records[f"{p}.{name}"].shape
+            if got != shape:
+                raise ValueError(f"{path}: record {p}.{name} has shape {got}, "
+                                 f"the header spec gives {shape}")
         meta = records[f"{p}.meta"]
+        if meta.ndim != 1 or len(meta) < 2:
+            raise ValueError(f"{path}: record {p}.meta has shape {meta.shape}, "
+                             "need at least 2 values")
         episodes.append(Trajectory(
             x=records[f"{p}.x"], a=records[f"{p}.a"], u=records[f"{p}.u"],
             s=records[f"{p}.s"], e=int(meta[0]), lighting=float(meta[1])))

@@ -302,7 +302,8 @@ def test_c07_recovery_and_pushforward(recovery):
 @pytest.fixture(scope="module")
 def transfer(dataset, trained):
     return {s: _timed(f"eval[s{s}]", lambda: ev.run_transfer_eval(
-        trained[s], dataset.spec, seed=s, n_episodes=50)) for s in SEEDS}
+        trained[s], dataset.spec, seed=s, n_episodes=50,
+        target_e=dataset.target_e)) for s in SEEDS}
 
 
 def test_c08_transfer_ordering(transfer):

@@ -179,6 +179,19 @@ class TestCrossEntropyAndLayerNorm:
         np.testing.assert_allclose(out.data.mean(axis=-1), 0.0, atol=1e-5)
         np.testing.assert_allclose(out.data.var(axis=-1), 1.0, atol=1e-3)
 
+    @pytest.mark.parametrize("shape", [(3, 16), (2, 5, 128)])
+    def test_layer_norm_bits_match_numpy_var(self, shape):
+        # the variance reuses x - mean; the bits are those of numpy's `var`
+        rng = stream(8, "test-ln-bits")
+        x = rng.normal(1.0, 2.0, shape).astype(np.float32)
+        gain = rng.normal(size=shape[-1]).astype(np.float32)
+        bias = rng.normal(size=shape[-1]).astype(np.float32)
+        mu = x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+        want = (x - mu) * inv * gain + bias
+        got = layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
+        assert got.tobytes() == want.tobytes()
+
     def test_layer_norm_gradcheck(self):
         rng = stream(6, "test-ln-gc")
         h = Tensor(rng.normal(size=(2, 6)).astype(np.float32))

@@ -113,7 +113,7 @@ def test_tracer_records_eval_rollout_spans():
     try:
         tracer.install()
         with tracer.span("op.eval"):
-            ev.run_transfer_eval({"m": model}, spec, 0, n_episodes=2)
+            ev.run_transfer_eval({"m": model}, spec, 0, n_episodes=2, target_e=0)
     finally:
         tracer.uninstall()
     figures = tracing.span_metrics(tracer, {"gen": 1, "train": 1, "eval": 1, "a2l": 1})
@@ -149,13 +149,17 @@ def test_tracer_records_verify_saddle_spans():
     assert len(ix.select("worldgen.vmf_sample", ["verify"])) == 6
 
 
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
 @pytest.mark.slow
-def test_traced_run_prints_one_strict_result_line():
-    # a traced run executes every workload's commands, and the op figures
-    # and the gradient check outside the commands' stdout redirect; the
-    # benchmark's result must still be its only stdout line, strict JSON
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_run_prints_one_strict_result_line(workload):
+    # a traced run executes the workload's commands, and its op figures and
+    # sample checks outside the commands' stdout redirect; the benchmark's
+    # result must still be its only stdout line, strict JSON
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "train-pipeline",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "0", "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=900)
     assert proc.returncode == 0, proc.stderr[-2000:]

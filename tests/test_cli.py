@@ -82,16 +82,8 @@ class TestGen:
         # (e, lighting, flag) load, and train to the same bytes
         new = workdir / "data" / "dataset.bin"
         old = tmp_path / "three-value-meta.bin"
-        with open(new, "rb") as src, open(old, "wb") as dst:
-            head = src.read(4)
-            dst.write(head + src.read(struct.unpack("<I", head)[0]))
-            while True:
-                name, vals = read_record(src, new, 0)
-                if name is None:
-                    break
-                if name.endswith(".meta"):
-                    vals = np.append(vals, np.float32(1.0))
-                write_record(dst, name, vals)
+        _edit_records(new, old, lambda name, vals: np.append(vals, np.float32(1.0))
+                      if name.endswith(".meta") else vals)
         assert old.stat().st_size > new.stat().st_size
         a, b = load_dataset(new), load_dataset(old)
         assert [(ep.e, ep.lighting) for ep in a.episodes] == \
@@ -208,7 +200,8 @@ class TestTrain:
         assert "stride" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section,key", [("train", "seed"), ("model", "d_v"),
-                                             ("model", "n_embodiments")])
+                                             ("model", "n_embodiments"),
+                                             ("model", "d_a_max")])
     def test_command_set_key_refused(self, workdir, tmp_path, capsys, section, key):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(f"[train]\nsteps = 3\n[{section}]\n{key} = 3\n")
@@ -218,6 +211,24 @@ class TestTrain:
         assert rc == 1
         assert f"[{section}] key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    def test_raw_action_width_comes_from_the_dataset(self, tmp_path):
+        # a dataset with six-wide raw actions trains, evaluates and fits an
+        # A2L head; the raw-action interface is as wide as its actions
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(CFG.replace("[dgp]\n", "[dgp]\nd_a = 6\n"))
+        _run("gen", ["gen", "--spec", cfg, "--out", tmp_path / "data"])
+        data = tmp_path / "data" / "dataset.bin"
+        for variant in ("scar-kl-grl", "gt-action-baseline"):
+            out = _run(f"train --variant {variant}",
+                       ["train", "--variant", variant, "--config", cfg, "--data", data,
+                        "--out", tmp_path / variant])
+            assert json.loads((out / "model.json").read_text())["model_cfg"]["d_a_max"] == 6
+        _run("eval", ["eval", "--checkpoints", f"full={tmp_path / 'scar-kl-grl'},"
+                      f"gt={tmp_path / 'gt-action-baseline'}", "--data", data,
+                      "--out", tmp_path / "ev", "--episodes", "2"])
+        _run("a2l --mode sequence", ["a2l", "--checkpoint", tmp_path / "scar-kl-grl",
+                                     "--data", data, "--out", tmp_path / "a2l"])
 
     def test_data_key_in_train_section_refused(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
@@ -246,6 +257,19 @@ def _edit_header(src, dst, edit):
     dst.write_bytes(struct.pack("<I", len(hb)) + hb + raw[4 + hlen:])
 
 
+def _edit_records(src, dst, edit):
+    """Copy a dataset file with each record's values replaced by
+    `edit(name, values)`."""
+    with open(src, "rb") as fin, open(dst, "wb") as fout:
+        head = fin.read(4)
+        fout.write(head + fin.read(struct.unpack("<I", head)[0]))
+        while True:
+            name, vals = read_record(fin, src, 0)
+            if name is None:
+                break
+            write_record(fout, name, edit(name, vals))
+
+
 class TestEvalProbe:
     def test_eval_outputs(self, workdir, tmp_path):
         out = _run("eval", ["eval", "--checkpoints", f"m={workdir / 'run'}",
@@ -256,6 +280,24 @@ class TestEvalProbe:
         assert len(lines) == 3  # header + target + transfer
         metrics = json.loads((out / "metrics.json").read_text())
         assert set(metrics["m"]) == {"target", "transfer"}
+
+    def test_eval_rolls_out_the_datasets_target_embodiment(self, workdir, tmp_path,
+                                                           monkeypatch):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(CFG.replace("[data]\n", "[data]\ntarget_e = 2\n"))
+        _run("gen", ["gen", "--spec", cfg, "--out", tmp_path / "data"])
+        seen = []
+        rollouts = ev.evaluate_rollouts
+
+        def spy(models, episodes, spec, seed):
+            seen.extend(ep.e for ep in episodes)
+            return rollouts(models, episodes, spec, seed)
+
+        monkeypatch.setattr(ev, "evaluate_rollouts", spy)
+        _run("eval", ["eval", "--checkpoints", f"m={workdir / 'run'}",
+                      "--data", tmp_path / "data" / "dataset.bin",
+                      "--out", tmp_path / "ev", "--episodes", "2"])
+        assert seen == [2] * 4     # two episodes for each of the two tasks
 
     def test_eval_bad_checkpoint_spec(self, workdir, tmp_path, capsys):
         rc = main(["eval", "--checkpoints", "no-equals-sign",
@@ -321,6 +363,17 @@ class TestEvalProbe:
         _edit_header(workdir / "data" / "dataset.bin", data, lambda h: h.pop(key))
         err = self._probe_fails(workdir / "run", data, tmp_path, capsys)
         assert str(data) in err and repr(key) in err
+
+    @pytest.mark.parametrize("record, edit", [("ep00003.a", lambda v: v[:-2]),
+                                              ("ep00001.meta", lambda v: v[:1])],
+                             ids=["a-rows", "meta-values"])
+    def test_dataset_record_shape_names_the_record(self, workdir, tmp_path, capsys,
+                                                   record, edit):
+        data = tmp_path / "bad-record.bin"
+        _edit_records(workdir / "data" / "dataset.bin", data,
+                      lambda name, vals: edit(vals) if name == record else vals)
+        err = self._probe_fails(workdir / "run", data, tmp_path, capsys)
+        assert str(data) in err and record in err
 
     def test_model_json_without_model_cfg_names_the_file(self, workdir, tmp_path, capsys):
         run = tmp_path / "no-cfg"
@@ -439,6 +492,24 @@ def test_main_runs_the_command_bound_on_the_module(tmp_path, monkeypatch, capsys
                    "--out", tmp_path / "pr", "--seed", "7"])
     assert calls == ["ckpt"]
     assert capsys.readouterr().out == "probe: replaced\n"
+
+
+@pytest.mark.parametrize("command, text, words", [
+    ("train", "[model]\nf_hist = 0\n", "[model] f_hist must be >= 1"),
+    ("gen", "[dgp]\nmixing = mixx\n", "[dgp] mixing must be 'mix' or 'identity', got 'mixx'"),
+    ("gen", "[data]\ntarget_e = 4\n", "[data] target_e must be one of the 4 embodiments, got 4"),
+], ids=["f_hist", "mixing", "target_e"])
+def test_unworkable_config_value_refused(workdir, tmp_path, capsys, command, text, words):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
+    argv = {"train": ["train", "--variant", "scar-kl-grl", "--config", cfg,
+                      "--data", workdir / "data" / "dataset.bin"],
+            "gen": ["gen", "--spec", cfg]}[command]
+    rc = main([str(a) for a in argv + ["--out", tmp_path / "out"]])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: ") and words in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_data_file_is_one_line_error(tmp_path, capsys):

@@ -293,8 +293,10 @@ class TestLeakagePipeline:
 
 class TestTransferEval:
     def test_structure_and_determinism(self, dataset, model):
-        out1 = run_transfer_eval({"m": model}, dataset.spec, seed=4, n_episodes=2)
-        out2 = run_transfer_eval({"m": model}, dataset.spec, seed=4, n_episodes=2)
+        out1 = run_transfer_eval({"m": model}, dataset.spec, seed=4, n_episodes=2,
+                                 target_e=dataset.target_e)
+        out2 = run_transfer_eval({"m": model}, dataset.spec, seed=4, n_episodes=2,
+                                 target_e=dataset.target_e)
         assert set(out1["m"]) == {"target", "transfer"}
         for task in ("target", "transfer"):
             cell = out1["m"][task]
@@ -322,7 +324,8 @@ class TestTransferEval:
         monkeypatch.setattr(ev, "frame_from_obs", counting_frames)
         monkeypatch.setattr(ev, "rollout_episode", counting_rollouts)
         n = 3
-        out = ev.run_transfer_eval({"a": model, "b": model}, dataset.spec, seed=4, n_episodes=n)
+        out = ev.run_transfer_eval({"a": model, "b": model}, dataset.spec, seed=4,
+                                   n_episodes=n, target_e=dataset.target_e)
         assert len(calls) == 2 * n
         # per task: the true futures as one stack, then each model's
         # predictions as one stack from one rollout call
@@ -345,7 +348,8 @@ class TestTransferEval:
             np.testing.assert_array_equal(got[i], want)
 
     def test_row_count_default(self, dataset, model):
-        out = run_transfer_eval({"m": model}, dataset.spec, seed=4, n_episodes=5)
+        out = run_transfer_eval({"m": model}, dataset.spec, seed=4, n_episodes=5,
+                                target_e=dataset.target_e)
         assert len(out["m"]["target"]["rows"]) == 5
 
 
