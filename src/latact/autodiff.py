@@ -1,11 +1,14 @@
 """Reverse-mode automatic differentiation on dense float32 tensors.
 
-Tape-based: every operation records its parents and a backward closure;
+Tape-based: every operation records its parents and one gradient function
+per parent, from the gradient of its output to that parent's. ``Tensor``
+alone applies them, accumulating into each parent that requires grad, and
 ``Tensor.backward()`` runs a topological sweep. First-order only, rebuilt
 per forward pass. Under ``no_grad()`` nothing is recorded.
 """
 
 from contextlib import contextmanager
+from itertools import accumulate
 
 import numpy as np
 
@@ -16,7 +19,7 @@ DTYPE = np.float32
 CHECK_FINITE = False
 
 # When False (inside `no_grad()`) ops record no parents and no backward
-# closure, so each intermediate is freed as soon as nothing else holds it.
+# step, so each intermediate is freed as soon as nothing else holds it.
 GRAD_ENABLED = True
 
 # Absolute floor of gradcheck's denominator: a near-zero gradient is judged
@@ -77,17 +80,21 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op")
 
-    def __init__(self, data, requires_grad=False, _parents=(), op="leaf", _backward=None):
+    def __init__(self, data, requires_grad=False, _parents=(), op="leaf", _grads=()):
         self.data = np.asarray(data, dtype=DTYPE)  # module DTYPE read at creation time
         self.grad = None
-        if GRAD_ENABLED:
+        self.requires_grad = requires_grad
+        self._parents = ()
+        self._backward = None
+        if GRAD_ENABLED and _parents:
             self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
             self._parents = _parents
-            self._backward = _backward
-        else:
-            self.requires_grad = requires_grad
-            self._parents = ()
-            self._backward = None
+
+            def backward(g):    # the one site that applies gradients
+                for p, f in zip(_parents, _grads):
+                    if p.requires_grad:
+                        p._accum(f(g))
+            self._backward = backward
         self.op = op
         if CHECK_FINITE and not np.all(np.isfinite(self.data)):
             raise NonFiniteError(op)
@@ -134,91 +141,61 @@ class Tensor:
 
     # ---- arithmetic ----
 
-    def _lift(self, other):
-        return other if isinstance(other, Tensor) else Tensor(np.asarray(other, dtype=DTYPE))
-
     def __add__(self, other):
-        other = self._lift(other)
-
-        def bw(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g, self.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(g, other.shape))
-        return Tensor(self.data + other.data, _parents=(self, other), op="add", _backward=bw)
+        other = as_tensor(other)
+        return Tensor(self.data + other.data, _parents=(self, other), op="add",
+                      _grads=(lambda g: _unbroadcast(g, self.shape),
+                              lambda g: _unbroadcast(g, other.shape)))
 
     def __mul__(self, other):
-        other = self._lift(other)
-
-        def bw(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g * other.data, self.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(g * self.data, other.shape))
-        return Tensor(self.data * other.data, _parents=(self, other), op="mul", _backward=bw)
+        other = as_tensor(other)
+        return Tensor(self.data * other.data, _parents=(self, other), op="mul",
+                      _grads=(lambda g: _unbroadcast(g * other.data, self.shape),
+                              lambda g: _unbroadcast(g * self.data, other.shape)))
 
     def __neg__(self):
-        def bw(g):
-            if self.requires_grad:
-                self._accum(-g)
-        return Tensor(-self.data, _parents=(self,), op="neg", _backward=bw)
+        return Tensor(-self.data, _parents=(self,), op="neg", _grads=(lambda g: -g,))
 
     def __sub__(self, other):
-        return self + (-self._lift(other))
+        return self + (-as_tensor(other))
 
     def __pow__(self, p):
         assert isinstance(p, (int, float)), "only scalar exponents"
-
-        def bw(g):
-            if self.requires_grad:
-                self._accum(g * p * self.data ** (p - 1))
-        return Tensor(self.data ** p, _parents=(self,), op="pow", _backward=bw)
+        return Tensor(self.data ** p, _parents=(self,), op="pow",
+                      _grads=(lambda g: g * p * self.data ** (p - 1),))
 
     def __matmul__(self, other):
         """x @ W with W two-dimensional; x may carry leading batch axes."""
-        other = self._lift(other)
+        other = as_tensor(other)
         assert other.data.ndim == 2, "right matmul operand must be 2-D"
-
-        def bw(g):
-            if self.requires_grad:
-                self._accum(g @ other.data.T)
-            if other.requires_grad:
-                n = other.data.shape[0]
-                other._accum(self.data.reshape(-1, n).T @ g.reshape(-1, g.shape[-1]))
-        return Tensor(self.data @ other.data, _parents=(self, other), op="matmul", _backward=bw)
+        n = other.shape[0]
+        return Tensor(self.data @ other.data, _parents=(self, other), op="matmul",
+                      _grads=(lambda g: g @ other.data.T,
+                              lambda g: self.data.reshape(-1, n).T @ g.reshape(-1, g.shape[-1])))
 
     # ---- shape ----
 
     def reshape(self, *shape):
-        def bw(g):
-            if self.requires_grad:
-                self._accum(g.reshape(self.shape))
-        return Tensor(self.data.reshape(*shape), _parents=(self,), op="reshape", _backward=bw)
+        return Tensor(self.data.reshape(*shape), _parents=(self,), op="reshape",
+                      _grads=(lambda g: g.reshape(self.shape),))
 
     def __getitem__(self, idx):
-        def bw(g):
-            if self.requires_grad:
-                full = np.zeros(self.shape, dtype=DTYPE)
-                if _is_basic_index(idx):
-                    full[idx] = g
-                else:
-                    np.add.at(full, idx, g)  # repeated fancy indices accumulate
-                self._accum(full)
-        return Tensor(self.data[idx], _parents=(self,), op="slice", _backward=bw)
+        def grad(g):
+            full = np.zeros(self.shape, dtype=DTYPE)
+            if _is_basic_index(idx):
+                full[idx] = g
+            else:
+                np.add.at(full, idx, g)  # repeated fancy indices accumulate
+            return full
+        return Tensor(self.data[idx], _parents=(self,), op="slice", _grads=(grad,))
 
     # ---- reductions ----
 
     def sum(self, axis=None, keepdims=False):
-        def bw(g):
-            if not self.requires_grad:
-                return
-            if axis is None:
-                self._accum(np.broadcast_to(g, self.shape))
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                self._accum(np.broadcast_to(gg, self.shape))
+        keep = axis is None or keepdims
         return Tensor(self.data.sum(axis=axis, keepdims=keepdims), _parents=(self,), op="sum",
-                      _backward=bw)
+                      _grads=(lambda g: np.broadcast_to(g if keep else np.expand_dims(g, axis),
+                                                        self.shape),))
 
     def mean(self, axis=None, keepdims=False):
         n = self.size if axis is None else self.shape[axis]
@@ -228,41 +205,32 @@ class Tensor:
 
     def exp(self):
         y = np.exp(self.data)
-
-        def bw(g):
-            if self.requires_grad:
-                self._accum(g * y)
-        return Tensor(y, _parents=(self,), op="exp", _backward=bw)
+        return Tensor(y, _parents=(self,), op="exp", _grads=(lambda g: g * y,))
 
     def log(self):
-        def bw(g):
-            if self.requires_grad:
-                self._accum(g / self.data)
-        return Tensor(np.log(self.data), _parents=(self,), op="log", _backward=bw)
+        return Tensor(np.log(self.data), _parents=(self,), op="log",
+                      _grads=(lambda g: g / self.data,))
 
     def tanh(self):
         y = np.tanh(self.data)
-
-        def bw(g):
-            if self.requires_grad:
-                self._accum(g * (1.0 - y ** 2))
-        return Tensor(y, _parents=(self,), op="tanh", _backward=bw)
+        return Tensor(y, _parents=(self,), op="tanh", _grads=(lambda g: g * (1.0 - y ** 2),))
 
     def gelu(self):
         """tanh-approximation GELU (see `gelu_forward`, `gelu_backward`)."""
         x = self.data
         t, y = gelu_forward(x)
-
-        def bw(g):
-            if self.requires_grad:
-                self._accum(gelu_backward(x, t, g))
-        return Tensor(y, _parents=(self,), op="gelu", _backward=bw)
+        return Tensor(y, _parents=(self,), op="gelu", _grads=(lambda g: gelu_backward(x, t, g),))
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op}, grad={'set' if self.grad is not None else 'unset'})"
 
 
 # ---- free functions ----
+
+def as_tensor(x):
+    """`x` if it is a Tensor, else a constant Tensor of its values."""
+    return x if isinstance(x, Tensor) else Tensor(x)
+
 
 GELU_C = np.float32(np.sqrt(2.0 / np.pi))
 
@@ -304,26 +272,19 @@ def gelu_backward(x, t, g, out=None, buf=None):
 
 
 def concat(tensors, axis=0):
-    def bw(g):
-        offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
-        for t, a, b in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(a, b)
-                t._accum(g[tuple(sl)])
+    bounds = list(accumulate((t.shape[axis] for t in tensors), initial=0))
+    lead = (slice(None),) * (axis % tensors[0].data.ndim)
     return Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                  _parents=tuple(tensors), op="concat", _backward=bw)
+                  _parents=tuple(tensors), op="concat",
+                  _grads=[lambda g, part=lead + (slice(a, b),): g[part]
+                          for a, b in zip(bounds, bounds[1:])])
 
 
 def grl(x, alpha):
     """Gradient reversal: identity forward, backward scales incoming grad by -alpha."""
     if alpha < 0:
         raise ValueError("grl strength must be >= 0")
-
-    def bw(g):
-        if x.requires_grad:
-            x._accum(-alpha * g)
-    return Tensor(x.data, _parents=(x,), op="grl", _backward=bw)
+    return Tensor(x.data, _parents=(x,), op="grl", _grads=(lambda g: -alpha * g,))
 
 
 def reparam_sample(mu, sigma, eps):
@@ -375,12 +336,11 @@ def softmax_cross_entropy(logits, labels):
     n = flat_labels.shape[0]
     ce = -logp[np.arange(n), flat_labels].mean()
 
-    def bw(g):
-        if logits.requires_grad:
-            p = np.exp(logp)
-            p[np.arange(n), flat_labels] -= 1.0
-            logits._accum((g * p / n).reshape(logits.shape))
-    return Tensor(ce, _parents=(logits,), op="softmax_cross_entropy", _backward=bw)
+    def logits_grad(g):
+        p = np.exp(logp)
+        p[np.arange(n), flat_labels] -= 1.0
+        return (g * p / n).reshape(logits.shape)
+    return Tensor(ce, _parents=(logits,), op="softmax_cross_entropy", _grads=(logits_grad,))
 
 
 def layer_norm(h, gain, bias):
@@ -393,17 +353,14 @@ def layer_norm(h, gain, bias):
     xhat = d * inv
     out_data = xhat * gain.data + bias.data
 
-    def bw(g):
-        if gain.requires_grad:
-            gain._accum(_unbroadcast(g * xhat, gain.shape))
-        if bias.requires_grad:
-            bias._accum(_unbroadcast(g, bias.shape))
-        if h.requires_grad:
-            gx = g * gain.data
-            dg = gx.mean(axis=-1, keepdims=True)
-            dgx = (gx * xhat).mean(axis=-1, keepdims=True)
-            h._accum(inv * (gx - dg - xhat * dgx))
-    return Tensor(out_data, _parents=(h, gain, bias), op="layer_norm", _backward=bw)
+    def h_grad(g):
+        gx = g * gain.data
+        dg = gx.mean(axis=-1, keepdims=True)
+        dgx = (gx * xhat).mean(axis=-1, keepdims=True)
+        return inv * (gx - dg - xhat * dgx)
+    return Tensor(out_data, _parents=(h, gain, bias), op="layer_norm",
+                  _grads=(h_grad, lambda g: _unbroadcast(g * xhat, gain.shape),
+                          lambda g: _unbroadcast(g, bias.shape)))
 
 
 def gradcheck(f, x, eps=1e-3):

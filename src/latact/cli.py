@@ -131,7 +131,7 @@ def cmd_train(args):
     model_cfg = build_section(config, "model", **dataset_fields(dataset.spec))
     out_dir = _out_dir(args)
     model = build_model(model_cfg, stream(train_cfg.seed, "model-init"),
-                        with_gtcond=train_cfg.gt_action)
+                        with_gtcond=train_cfg.flags.gt_action)
     files = []
     if train_cfg.pretrain_fdm:
         pretrain_fdm(dataset, train_cfg, model=model,
@@ -142,7 +142,7 @@ def cmd_train(args):
     files.append(log_path)
     files += _save_model_dir(out_dir, model,
                              {"variant": train_cfg.variant, "seed": train_cfg.seed,
-                              "with_a2l": False, "with_gtcond": train_cfg.gt_action})
+                              "with_a2l": False, "with_gtcond": train_cfg.flags.gt_action})
     return Outputs(f"train --variant {args.variant}", config_hash(config), files,
                    f"train: {args.variant} final L_total {rows[-1]['L_total']:.5f}")
 

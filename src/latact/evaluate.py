@@ -99,7 +99,7 @@ def _conditioning(model, episode):
     with no_grad():
         if model.gtcond is not None:
             return cond_sequence(pad_actions(episode.a, model.cfg.d_a_max), model.gtcond)
-        post = idm_infer(episode.x.astype(F32), model.idm)
+        post = idm_infer(episode.x, model.idm)
         return cond_sequence(post.mu, model.idm)
 
 
@@ -110,7 +110,7 @@ def rollout_episode(model, episode, rng, c_seq=None):
     if c_seq is None:
         c_seq = _conditioning(model, episode)
     f_hist = model.cfg.f_hist
-    return rollout_generate(episode.x[..., :f_hist, :].astype(F32), c_seq, model.fdm, rng)
+    return rollout_generate(episode.x[..., :f_hist, :], c_seq, model.fdm, rng)
 
 
 # `frame_from_obs` renders whole stacks; this name stays because

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, grl, no_grad, reparam_sample
+from .autodiff import Tensor, as_tensor, concat, grl, no_grad, reparam_sample
 from .nn import (
     CausalConvKernel,
     Mlp,
@@ -107,8 +107,7 @@ def make_flow_target(v, epsilon, tau_seq):
         raise ValueError("tau values must lie in [0, 1]")
     sigma = linear_schedule(tau_seq)[..., None]
     v_tilde = (1.0 - sigma) * v + sigma * epsilon
-    return FlowBatch(tau_seq=tau_seq, v_tilde=v_tilde.astype(F32),
-                     u_tau=(epsilon - v).astype(F32))
+    return FlowBatch(tau_seq=tau_seq, v_tilde=v_tilde, u_tau=epsilon - v)
 
 
 def diffusion_forcing_schedule(F, f_hist, p_clean, rng):
@@ -268,8 +267,7 @@ def idm_infer(v_seq, idm):
 
     Accepts (T, d_v) or any leading batch shape (..., T, d_v).
     """
-    if not isinstance(v_seq, Tensor):
-        v_seq = Tensor(np.asarray(v_seq, F32))
+    v_seq = as_tensor(v_seq)
     T = v_seq.shape[-2]
     if T < 2:
         raise ValueError("need at least two tokens to infer a transition")
@@ -285,8 +283,7 @@ def cond_sequence(seq, component):
     strictly before it, then the component's causal temporal conv maps them
     to conditioning tokens. Serves latent actions (`model.idm`) and padded
     raw actions (`model.gtcond`) alike."""
-    if not isinstance(seq, Tensor):
-        seq = Tensor(np.asarray(seq, F32))
+    seq = as_tensor(seq)
     zero = Tensor(np.zeros((*seq.shape[:-2], 1, seq.shape[-1]), F32))
     padded = concat([zero, seq], axis=-2)
     return causal_temporal_conv(padded, component.cond_kernel)
@@ -309,24 +306,22 @@ def fdm_flow_predict(v_tilde, tau_seq, c_seq, fdm, v_ctx, bgs=None):
     sequence (the last history frame), and the time embedding of its noise
     level; the conditioning sequence enters through AdaLN at every hidden
     block. Accepts (F, d_v) or any leading batch shape (..., F, d_v);
-    tau_seq must match the leading-and-time shape and v_ctx the leading
-    shape. `bgs`, if given, holds each block's AdaLN modulation
-    `c_seq @ mod.w + mod.b`, computed once for calls that share `c_seq`.
+    tau_seq must match the leading-and-time shape and v_ctx, an array that
+    is not differentiated, the leading shape. `bgs`, if given, holds each
+    block's AdaLN modulation `c_seq @ mod.w + mod.b`, computed once for
+    calls that share `c_seq`.
     """
-    if not isinstance(v_tilde, Tensor):
-        v_tilde = Tensor(np.asarray(v_tilde, F32))
+    v_tilde = as_tensor(v_tilde)
     F = v_tilde.shape[-2]
-    if not isinstance(c_seq, Tensor):
-        c_seq = Tensor(np.asarray(c_seq, F32))
+    c_seq = as_tensor(c_seq)
     if c_seq.shape[-2] != F:
         raise ValueError(f"conditioning length {c_seq.shape[-2]} != token count {F}")
     temb = Tensor(time_embed(np.asarray(tau_seq, F32), fdm.cfg.time_width))
     zero = Tensor(np.zeros((*v_tilde.shape[:-2], 1, fdm.cfg.d_v), F32))
     prev = concat([zero, v_tilde[..., :-1, :]], axis=-2)
-    if not isinstance(v_ctx, Tensor):
-        v_ctx = Tensor(np.asarray(v_ctx, F32))
-    one = v_ctx.reshape(*v_ctx.shape[:-1], 1, v_ctx.shape[-1])
-    ctx_tokens = concat([one] * F, axis=-2)
+    v_ctx = np.asarray(v_ctx)
+    ctx_tokens = Tensor(np.broadcast_to(v_ctx[..., None, :],
+                                        (*v_ctx.shape[:-1], F, v_ctx.shape[-1])))
     h = concat([v_tilde, prev, ctx_tokens, temb], axis=-1)
     for (w, b), mod, bg in zip(fdm.layers, fdm.mods, bgs or [None] * len(fdm.mods)):
         h = adaln_modulate(h @ w + b, c_seq, mod, bg).gelu()
@@ -380,9 +375,7 @@ def _euler(cur, c_seq, fdm, f_hist, taus):
 def disc_classify(z, disc, alpha):
     """Per-token embodiment logits; the gradient-reversal node sits between
     the latent and the classifier, scaling upstream gradients by -alpha."""
-    if not isinstance(z, Tensor):
-        z = Tensor(np.asarray(z, F32))
-    return disc.mlp(grl(z, alpha))
+    return disc.mlp(grl(as_tensor(z), alpha))
 
 
 def a2l_predict(a_seq, context, a2l, pointwise=False):

@@ -43,7 +43,7 @@ class AdamW:
             mhat = self.m[k] / (1 - b1 ** t)
             vhat = self.v[k] / (1 - b2 ** t)
             p.data -= DTYPE(self.lr * self.wd) * p.data
-            p.data -= DTYPE(self.lr) * (mhat / (np.sqrt(vhat) + EPS)).astype(DTYPE)
+            p.data -= DTYPE(self.lr) * (mhat / (np.sqrt(vhat) + EPS))
 
     def zero_grad(self):
         for p in self.params.values():

@@ -7,6 +7,7 @@ between the latent and the classifier realizes the minimax.
 """
 
 import csv
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +32,23 @@ from .serialize import checksum
 
 F32 = np.float32
 
+# A variant's row: its loss terms, and whether it trains on the target
+# embodiment only or conditions on raw actions in place of latents
+Variant = namedtuple("Variant", "kl grl target_only gt_action", defaults=[False, False])
+
 VARIANTS = {
-    "shared-latent": {"kl": False, "grl": False},
-    "scar-kl": {"kl": True, "grl": False},
-    "scar-grl": {"kl": False, "grl": True},
-    "scar-kl-grl": {"kl": True, "grl": True},
-    "target-only-latent": {"kl": False, "grl": False, "target_only": True},
-    "gt-action-baseline": {"kl": False, "grl": False, "gt_action": True},
+    "shared-latent": Variant(kl=False, grl=False),
+    "scar-kl": Variant(kl=True, grl=False),
+    "scar-grl": Variant(kl=False, grl=True),
+    "scar-kl-grl": Variant(kl=True, grl=True),
+    "target-only-latent": Variant(kl=False, grl=False, target_only=True),
+    "gt-action-baseline": Variant(kl=False, grl=False, gt_action=True),
 }
+
+# The action-to-latent stage's step count and learning rate; `latact a2l`
+# reads no config file
+A2L_STEPS = 800
+LR_A2L = 1e-4
 
 # written outputs must be byte-identical across reruns of the same
 # (command, config, seed), so the log holds no wall-clock column
@@ -61,12 +71,10 @@ class TrainConfig:
     lr_idm: float = 5e-5
     lr_fdm: float = 5e-6
     lr_disc: float = 5e-5       # paper leaves this unstated; tied to the IDM rate
-    lr_a2l: float = 1e-4
     wd_idm: float = 1e-4
     wd_fdm: float = 5e-2
     steps: int = 2000
     pretrain_steps: int = 500
-    a2l_steps: int = 800
     batch_episodes: int = 16
     seed: int = 0
     pretrain_fdm: bool = False
@@ -78,46 +86,30 @@ class TrainConfig:
         for name in ("beta", "lam_adv", "alpha"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        flags = VARIANTS[self.variant]
-        if flags["kl"] and self.beta == 0:
-            raise ValueError(f"variant {self.variant} requires beta > 0")
-        if not flags["kl"] and self.beta != 0:
-            raise ValueError(f"variant {self.variant} requires beta = 0")
-        if flags["grl"] and self.lam_adv == 0:
-            raise ValueError(f"variant {self.variant} requires lam_adv > 0")
-        if not flags["grl"] and self.lam_adv != 0:
-            raise ValueError(f"variant {self.variant} requires lam_adv = 0")
+        for weight, term in (("beta", self.flags.kl), ("lam_adv", self.flags.grl)):
+            if term and getattr(self, weight) == 0:
+                raise ValueError(f"variant {self.variant} requires {weight} > 0")
+            if not term and getattr(self, weight) != 0:
+                raise ValueError(f"variant {self.variant} requires {weight} = 0")
 
     @property
-    def uses_kl(self):
-        return VARIANTS[self.variant]["kl"]
-
-    @property
-    def uses_grl(self):
-        return VARIANTS[self.variant]["grl"]
-
-    @property
-    def target_only(self):
-        return VARIANTS[self.variant].get("target_only", False)
-
-    @property
-    def gt_action(self):
-        return VARIANTS[self.variant].get("gt_action", False)
+    def flags(self):
+        return VARIANTS[self.variant]
 
 
 def make_config(variant, **overrides):
     """TrainConfig with loss weights consistent with the variant's gating:
-    paper-default weights where a term is active, zero where it is not."""
+    TrainConfig's default weights where a term is active, zero where not."""
     flags = VARIANTS[variant]
     base = {"variant": variant,
-            "beta": 5e-4 if flags["kl"] else 0.0,
-            "lam_adv": 5e-3 if flags["grl"] else 0.0}
+            "beta": TrainConfig.beta if flags.kl else 0.0,
+            "lam_adv": TrainConfig.lam_adv if flags.grl else 0.0}
     base.update(overrides)
     return TrainConfig(**base)
 
 
 def _episode_pool(dataset, config):
-    if config.target_only:
+    if config.flags.target_only:
         pool = dataset.by_embodiment(dataset.target_e)
     else:
         pool = list(dataset.episodes)
@@ -128,8 +120,8 @@ def _episode_pool(dataset, config):
 
 def _stack_batch(pool, idx, d_a_max):
     eps = [pool[i] for i in idx]
-    v = np.stack([ep.x for ep in eps]).astype(F32)
-    a = np.stack([pad_actions(ep.a, d_a_max) for ep in eps]).astype(F32)
+    v = np.stack([ep.x for ep in eps])
+    a = np.stack([pad_actions(ep.a, d_a_max) for ep in eps])
     e = np.array([ep.e for ep in eps])
     return v, a, e
 
@@ -164,7 +156,7 @@ def total_loss(model, batch, config, rng, step=None):
     v, a, e = batch
     B, T, _ = v.shape
 
-    if config.gt_action:
+    if config.flags.gt_action:
         c_seq = cond_sequence(a, model.gtcond)
         post = None
         z = None
@@ -177,14 +169,14 @@ def total_loss(model, batch, config, rng, step=None):
     total = l_rec
     components = {"L_rec": float(l_rec.data), "L_KL": None, "L_GRL": None}
 
-    if config.uses_kl:
+    if config.flags.kl:
         beta = config.beta
         if config.kl_warmup_steps > 0 and step is not None:
             beta *= min(1.0, (step + 1) / config.kl_warmup_steps)
         l_kl = kl_diag_gaussian(post.mu, post.log_sigma.exp()) * (1.0 / (B * (T - 1)))
         total = total + l_kl * beta
         components["L_KL"] = float(l_kl.data)
-    if config.uses_grl:
+    if config.flags.grl:
         logits = disc_classify(z, model.disc, config.alpha)
         labels = np.broadcast_to(e[:, None], (B, T - 1))
         l_grl = softmax_cross_entropy(logits, labels)
@@ -251,11 +243,11 @@ def fit(step_fn, opts, steps, norm_params, log_path=None):
 
 def _optimizers(model, config):
     opts = [AdamW(model.fdm.params(), lr=config.lr_fdm, wd=config.wd_fdm)]
-    if config.gt_action:
+    if config.flags.gt_action:
         opts.append(AdamW(model.gtcond.params(), lr=config.lr_idm, wd=config.wd_idm))
     else:
         opts.append(AdamW(model.idm.params(), lr=config.lr_idm, wd=config.wd_idm))
-        if config.uses_grl:
+        if config.flags.grl:
             opts.append(AdamW(model.disc.params(), lr=config.lr_disc))
     return opts
 
@@ -265,7 +257,8 @@ def train_scar(dataset, config, model=None, log_path=None):
     `pretrain_fdm` returned to start from a pretrained forward model."""
     if model is None:
         model = build_model(ModelConfig(**dataset_fields(dataset.spec)),
-                            stream(config.seed, "model-init"), with_gtcond=config.gt_action)
+                            stream(config.seed, "model-init"),
+                            with_gtcond=config.flags.gt_action)
     pool = _episode_pool(dataset, config)
     batch_rng = stream(config.seed, f"train:{config.variant}:batches")
     loss_rng = stream(config.seed, f"train:{config.variant}:noise")
@@ -307,7 +300,7 @@ def posterior_mean_targets(model, episodes):
     posterior means of a list of equal-length episodes, from one tape-free
     stacked pass, (n, T-1, d_z)."""
     with no_grad():
-        post = idm_infer(np.stack([ep.x for ep in episodes]).astype(F32), model.idm)
+        post = idm_infer(np.stack([ep.x for ep in episodes]), model.idm)
     return post.mu.data.copy()
 
 
@@ -324,7 +317,7 @@ def train_a2l(model, dataset, config, pointwise=False, ft=False, log_path=None):
         raise ValueError("no target-embodiment episodes for A2L training")
     targets = posterior_mean_targets(model, pool)
     params = model.a2l.params()
-    opts = [AdamW(params, lr=config.lr_a2l)]
+    opts = [AdamW(params, lr=LR_A2L)]
     if ft:
         opts.append(AdamW(model.fdm.params(), lr=config.lr_fdm, wd=config.wd_fdm))
     batch_rng = stream(config.seed, "a2l:batches")
@@ -340,7 +333,7 @@ def train_a2l(model, dataset, config, pointwise=False, ft=False, log_path=None):
             loss = loss + flow_loss(v, cond_sequence(z_hat, model.idm), model.fdm, loss_rng)
         return loss, rec_only(loss)
 
-    rows = fit(step_fn, opts, config.a2l_steps, params, log_path)
+    rows = fit(step_fn, opts, A2L_STEPS, params, log_path)
     return model, rows
 
 

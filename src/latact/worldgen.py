@@ -288,18 +288,19 @@ def load_dataset(path):
     episodes = []
     for i in range(n_episodes):
         p = f"ep{i:05d}"
+        try:
+            ep = {name: records[f"{p}.{name}"] for name in _EPISODE_RECORDS}
+        except KeyError as exc:
+            raise ValueError(f"{path}: record {exc.args[0]} is missing") from exc
         for name, shape in shapes.items():
-            got = records[f"{p}.{name}"].shape
-            if got != shape:
-                raise ValueError(f"{path}: record {p}.{name} has shape {got}, "
+            if ep[name].shape != shape:
+                raise ValueError(f"{path}: record {p}.{name} has shape {ep[name].shape}, "
                                  f"the header spec gives {shape}")
-        meta = records[f"{p}.meta"]
+        meta = ep.pop("meta")
         if meta.ndim != 1 or len(meta) < 2:
             raise ValueError(f"{path}: record {p}.meta has shape {meta.shape}, "
                              "need at least 2 values")
-        episodes.append(Trajectory(
-            x=records[f"{p}.x"], a=records[f"{p}.a"], u=records[f"{p}.u"],
-            s=records[f"{p}.s"], e=int(meta[0]), lighting=float(meta[1])))
+        episodes.append(Trajectory(**ep, e=int(meta[0]), lighting=float(meta[1])))
     return Dataset(spec=spec, episodes=episodes, target_e=target_e)
 
 

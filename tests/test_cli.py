@@ -239,6 +239,17 @@ class TestTrain:
         assert rc == 1
         assert "line 3: unknown key 'm_target' in [train]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["a2l_steps", "lr_a2l"])
+    def test_a2l_key_in_train_section_refused(self, workdir, tmp_path, capsys, key):
+        # `latact train` never trains an A2L head, so these are no [train] keys
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"[train]\nsteps = 3\n{key} = 5\n")
+        rc = main(["train", "--variant", "scar-kl-grl", "--config", str(cfg),
+                   "--data", str(workdir / "data" / "dataset.bin"),
+                   "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert f"line 3: unknown key '{key}' in [train]" in capsys.readouterr().err
+
     def test_unknown_variant_exits_nonzero(self, workdir, tmp_path, capsys):
         rc = main(["train", "--variant", "scar-maximal",
                    "--data", str(workdir / "data" / "dataset.bin"),
@@ -257,9 +268,9 @@ def _edit_header(src, dst, edit):
     dst.write_bytes(struct.pack("<I", len(hb)) + hb + raw[4 + hlen:])
 
 
-def _edit_records(src, dst, edit):
+def _edit_records(src, dst, edit, rename=None):
     """Copy a dataset file with each record's values replaced by
-    `edit(name, values)`."""
+    `edit(name, values)`, and the records named in `rename` renamed."""
     with open(src, "rb") as fin, open(dst, "wb") as fout:
         head = fin.read(4)
         fout.write(head + fin.read(struct.unpack("<I", head)[0]))
@@ -267,7 +278,7 @@ def _edit_records(src, dst, edit):
             name, vals = read_record(fin, src, 0)
             if name is None:
                 break
-            write_record(fout, name, edit(name, vals))
+            write_record(fout, (rename or {}).get(name, name), edit(name, vals))
 
 
 class TestEvalProbe:
@@ -374,6 +385,14 @@ class TestEvalProbe:
                       lambda name, vals: edit(vals) if name == record else vals)
         err = self._probe_fails(workdir / "run", data, tmp_path, capsys)
         assert str(data) in err and record in err
+
+    def test_dataset_renamed_record_names_the_record(self, workdir, tmp_path, capsys):
+        # the record count matches the header, but one record's name does not
+        data = tmp_path / "renamed-record.bin"
+        _edit_records(workdir / "data" / "dataset.bin", data, lambda name, vals: vals,
+                      rename={"ep00003.a": "ep00003.b"})
+        err = self._probe_fails(workdir / "run", data, tmp_path, capsys)
+        assert str(data) in err and "ep00003.a" in err and "KeyError" not in err
 
     def test_model_json_without_model_cfg_names_the_file(self, workdir, tmp_path, capsys):
         run = tmp_path / "no-cfg"

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from latact import training
 from latact.models import ModelConfig, a2l_predict, build_model, idm_infer
 from latact.rng import stream
 from latact.training import (
@@ -54,8 +55,8 @@ class TestConfig:
         for variant in VARIANTS:
             cfg = make_config(variant)
             assert cfg.variant == variant
-            assert (cfg.beta > 0) == cfg.uses_kl
-            assert (cfg.lam_adv > 0) == cfg.uses_grl
+            assert (cfg.beta > 0) == cfg.flags.kl
+            assert (cfg.lam_adv > 0) == cfg.flags.grl
 
     def test_paper_defaults_wired(self):
         cfg = make_config("scar-kl-grl")
@@ -193,31 +194,32 @@ class TestA2l:
         for row, ep in zip(got, pool):
             np.testing.assert_array_equal(row, idm_infer(ep.x.astype(np.float32), model.idm).mu.data)
 
-    def test_idm_frozen_and_loss_drops(self, dataset, model):
+    def test_idm_frozen_and_loss_drops(self, dataset, model, monkeypatch):
+        monkeypatch.setattr(training, "A2L_STEPS", 60)
         before = {k: t.data.copy() for k, t in model.idm.params().items()}
-        _, rows = train_a2l(model, dataset, make_config("shared-latent",
-                                                        a2l_steps=60, seed=0))
+        _, rows = train_a2l(model, dataset, make_config("shared-latent", seed=0))
         for k, t in model.idm.params().items():
             np.testing.assert_array_equal(before[k], t.data)
         assert rows[-1]["L_total"] < rows[0]["L_total"]
 
-    def test_ft_updates_fdm_never_idm(self, dataset):
+    def test_ft_updates_fdm_never_idm(self, dataset, monkeypatch):
+        monkeypatch.setattr(training, "A2L_STEPS", 5)
         cfg_m = ModelConfig(d_v=dataset.spec.d_x)
         m = build_model(cfg_m, stream(2, "ft"), with_a2l=True)
         idm_before = {k: t.data.copy() for k, t in m.idm.params().items()}
         fdm_before = {k: t.data.copy() for k, t in m.fdm.params().items()}
-        train_a2l(m, dataset, make_config("shared-latent", a2l_steps=5, seed=0,
-                                          lr_fdm=1e-3), ft=True)
+        train_a2l(m, dataset, make_config("shared-latent", seed=0, lr_fdm=1e-3), ft=True)
         for k, t in m.idm.params().items():
             np.testing.assert_array_equal(idm_before[k], t.data)
         changed = any(not np.array_equal(fdm_before[k], t.data)
                       for k, t in m.fdm.params().items())
         assert changed
 
-    def test_first_loss_matches_per_episode_mean(self, dataset):
+    def test_first_loss_matches_per_episode_mean(self, dataset, monkeypatch):
+        monkeypatch.setattr(training, "A2L_STEPS", 1)
         m = build_model(ModelConfig(d_v=dataset.spec.d_x), stream(5, "a2l-ref"),
                         with_a2l=True)
-        config = make_config("shared-latent", a2l_steps=1, seed=0)
+        config = make_config("shared-latent", seed=0)
         pool = [ep for ep in dataset.episodes if ep.e == dataset.target_e]
         batch_n = min(config.batch_episodes, len(pool))
         idx = stream(0, "a2l:batches").integers(0, len(pool), batch_n)
@@ -228,14 +230,14 @@ class TestA2l:
         _, rows = train_a2l(m, dataset, config)
         assert rows[0]["L_total"] == pytest.approx(ref, rel=1e-6)
 
-    def test_pointwise_variant_runs(self, dataset):
+    def test_pointwise_variant_runs(self, dataset, monkeypatch):
+        monkeypatch.setattr(training, "A2L_STEPS", 5)
         cfg_m = ModelConfig(d_v=dataset.spec.d_x)
         m = build_model(cfg_m, stream(3, "pt"), with_a2l=True)
-        _, rows = train_a2l(m, dataset, make_config("shared-latent", a2l_steps=5, seed=0),
-                            pointwise=True)
+        _, rows = train_a2l(m, dataset, make_config("shared-latent", seed=0), pointwise=True)
         assert np.isfinite(rows[-1]["L_total"])
 
     def test_requires_a2l_head(self, dataset):
         m = build_model(ModelConfig(d_v=dataset.spec.d_x), stream(4, "no-head"))
         with pytest.raises(ValueError):
-            train_a2l(m, dataset, make_config("shared-latent", a2l_steps=1))
+            train_a2l(m, dataset, make_config("shared-latent"))
