@@ -235,29 +235,28 @@ def as_tensor(x):
 GELU_C = np.float32(np.sqrt(2.0 / np.pi))
 
 
-def gelu_forward(x, t=None, y=None, buf=None):
+def gelu_forward(x):
     """tanh-approximation GELU of a numpy array: (t, y) with t the tanh term
-    that `gelu_backward` reads and y the output. Works in place on t, y and
-    buf (allocated when not given), in the operation order of the plain
-    expressions, so the bits are theirs without their full-size
-    temporaries."""
-    t = np.multiply(x, x, out=t)
+    that `gelu_backward` reads and y the output. Works in place where it
+    can, in the operation order of the plain expressions, so the bits are
+    theirs without their full-size temporaries."""
+    t = x * x
     t *= x                                  # float32 `x ** 3` is slow and value-dependent
     t *= 0.044715
     t += x
     t *= GELU_C
     np.tanh(t, out=t)
-    y = np.add(1.0, t, out=y)
-    y *= np.multiply(0.5, x, out=buf)
+    y = np.add(1.0, t)
+    y *= 0.5 * x
     return t, y
 
 
-def gelu_backward(x, t, g, out=None, buf=None):
+def gelu_backward(x, t, g):
     """Gradient through `gelu_forward` at x, given its tanh term t and the
-    upstream gradient g; works in place on out and buf like the forward."""
-    d = np.multiply(t, t, out=out)
+    upstream gradient g; works in place like the forward."""
+    d = t * t
     np.subtract(1.0, d, out=d)
-    buf = np.multiply(x, 0.5, out=buf)
+    buf = x * 0.5
     d *= buf                                # 0.5 x (1 - t^2)
     np.multiply(x, x, out=buf)
     buf *= 3 * 0.044715

@@ -213,6 +213,14 @@ def cmd_probe(args):
 def cmd_leakage(args):
     model, _ = _load_model_dir(args.checkpoint)
     dataset = load_dataset(args.data)
+    embodiments = dataset.spec.embodiments
+    if len(embodiments) < 2:
+        raise ValueError(f"{args.data}: only embodiment {dataset.target_e}; leakage "
+                         "needs a source embodiment besides the target")
+    missing = [str(e) for e in embodiments if not dataset.by_embodiment(e)]
+    if missing:
+        raise ValueError(f"{args.data}: no episodes of embodiment(s) {', '.join(missing)}; "
+                         "leakage trains its frame classifier on every embodiment")
     clf, val_acc = ev.train_frame_classifier(dataset, seed=args.seed)
     ev.require_reliable_classifier(val_acc)
     out_dir = _out_dir(args)

@@ -177,45 +177,55 @@ def run_transfer_eval(models, spec, seed, n_episodes, target_e):
 class FrameClassifier:
     """Minimal convolutional stack: one 3x3 conv (im2col + matmul), gelu,
     flatten, linear head. No pooling — the embodiment cue is a few corner
-    pixels and spatial pooling would dilute it."""
+    pixels and spatial pooling would dilute it.
+
+    A rendered frame is mostly zeros, and every all-zero patch has the same
+    conv and gelu output. So the conv and gelu run on the nonzero patches
+    plus one all-zero patch that stands for every other position."""
 
     channels = 8
 
     def __init__(self, n_classes, rng, frame_size):
         self.w_conv, self.b_conv = init_linear(rng, 9, self.channels)
-        n_feat = (frame_size - 2) ** 2 * self.channels
-        self.w_head, self.b_head = init_linear(rng, n_feat, n_classes)
+        self.positions = (frame_size - 2) ** 2
+        self.w_head, self.b_head = init_linear(rng, self.positions * self.channels, n_classes)
 
     @staticmethod
-    def _patches(frames, out=None):
-        """(n, (H-2)(W-2), 9) 3x3 patches of an (n, H, W) frame stack, written
-        into `out` when given."""
+    def _patches(frames):
+        """(n, (H-2)(W-2), 9) 3x3 patches of an (n, H, W) frame stack."""
         frames = np.asarray(frames, F32)
         n, H, W = frames.shape
-        out = np.empty((n, H - 2, W - 2, 9), F32) if out is None else out
-        grid = out.reshape(n, H - 2, W - 2, 9)
+        out = np.empty((n, H - 2, W - 2, 9), F32)
         for k in range(9):
             dy, dx = divmod(k, 3)
-            grid[..., k] = frames[:, dy:H - 2 + dy, dx:W - 2 + dx]
+            out[..., k] = frames[:, dy:H - 2 + dy, dx:W - 2 + dx]
         return out.reshape(n, -1, 9)
 
-    def _forward(self, patches, x=None, t=None, y=None, buf=None):
-        """(h, logits) of (n, positions, 9) patches: the flat gelu features
-        and the head's logits. The operations and their order are those of
-        the autodiff engine's matmul, add, gelu and reshape, so the bits are
-        a taped forward's. x, t, y and buf are (n, positions, channels)
-        float32 buffers, allocated when not given; x receives the conv
-        output, t gelu's tanh term and y the gelu output, which h views."""
-        n = len(patches)
-        x = np.matmul(patches, self.w_conv.data, out=x)
-        rows = x.reshape(n, -1)
-        rows += np.tile(self.b_conv.data, x.shape[1])   # the broadcast's adds, as one row add
-        _, y = gelu_forward(x, t, y, buf)
-        h = y.reshape(n, -1)
-        return h, h @ self.w_head.data + self.b_head.data
+    @classmethod
+    def _nonzero_patches(cls, frames):
+        """(rows, where): the (r, 9) patches of a frame stack with a bit set
+        (so -0.0 counts), and their indices into its (n * positions) patches."""
+        patches = cls._patches(frames).reshape(-1, 9)
+        where = np.flatnonzero(patches.view(np.uint32).any(axis=1))
+        return patches[where], where
+
+    def _forward(self, rows, where, n):
+        """(x, t, h, logits) of n frames given by their nonzero patches
+        `rows` at `where`: the conv output x and gelu's tanh term t of those
+        rows and of the all-zero patch (the last row), the flat gelu
+        features h and the head's logits. The operations and their order
+        are those of the autodiff engine's matmul, add, gelu and reshape, so
+        the bits are a taped forward's on the dense patches."""
+        x = np.concatenate([rows, np.zeros((1, 9), F32)]) @ self.w_conv.data
+        x += self.b_conv.data
+        t, y = gelu_forward(x)
+        h = np.empty((n, self.positions * self.channels), F32)
+        h[:] = np.tile(y[-1], self.positions)   # the all-zero patch's; rows of 8 broadcast slowly
+        h.reshape(-1, self.channels)[where] = y[:-1]
+        return x, t, h, h @ self.w_head.data + self.b_head.data
 
     def probs(self, frames):
-        _, logits = self._forward(self._patches(frames))
+        *_, logits = self._forward(*self._nonzero_patches(frames), len(frames))
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         return e / e.sum(axis=1, keepdims=True)
 
@@ -245,37 +255,52 @@ def train_frame_classifier(dataset, seed):
     clf = FrameClassifier(dataset.spec.n_embodiments, rng,
                           frame_size=dataset.spec.frame_size)
     opt = AdamW(clf.params(), lr=1e-2)
-    # Closed-form steps, as in `theory.saddle_train`: no tape, and the
-    # activations live in buffers allocated once.
-    n, positions = min(128, len(tr_f)), (dataset.spec.frame_size - 2) ** 2
-    patches = np.empty((n, positions, 9), F32)
-    bufs = [np.empty((n, positions, clf.channels), F32) for _ in range(5)]
+    # Closed-form steps, as in `theory.saddle_train`, with no tape. Each
+    # training frame's nonzero patches are found once, in chunks so that
+    # the dense patches of all frames never exist at once.
+    P, n = clf.positions, min(128, len(tr_f))
+    found = [clf._nonzero_patches(tr_f[i:i + n]) for i in range(0, len(tr_f), n)]
+    all_rows = np.concatenate([rows for rows, _ in found])
+    all_where = np.concatenate([where + i * n * P for i, (_, where) in enumerate(found)])
+    counts = np.bincount(all_where // P, minlength=len(tr_f))
+    starts = np.cumsum(counts) - counts
+    pos = all_where % P
+    patches = np.zeros((n * P, 9), F32)      # the batch's patches; zero off its rows
+    where = np.empty(0, np.intp)
     for _ in range(CLASSIFIER_STEPS):
         idx = rng.integers(0, len(tr_f), n)
-        _classifier_grads(clf, clf._patches(tr_f[idx], out=patches), tr_l[idx], bufs)
+        patches[where] = 0.0
+        c = counts[idx]
+        sel = np.repeat(starts[idx] - (np.cumsum(c) - c), c) + np.arange(c.sum())  # into all_rows
+        where = np.repeat(np.arange(n) * P, c) + pos[sel]
+        rows = patches[where] = all_rows[sel]
+        _classifier_grads(clf, patches, rows, where, tr_l[idx])
         opt.step()
     val_acc = float((clf.probs(va_f).argmax(1) == va_l).mean())
     return clf, val_acc
 
 
-def _classifier_grads(clf, patches, labels, bufs):
+def _classifier_grads(clf, patches, rows, where, labels):
     """Set each classifier parameter's grad to that of the mean softmax
-    cross-entropy on (n, positions, 9) patches, in the operation order of
-    the autodiff engine's backward passes over `FrameClassifier._forward`
-    and softmax_cross_entropy, so the bits match a taped step. `bufs` holds
-    five (n, positions, channels) float32 arrays that are overwritten."""
-    x, t, y, dh, buf = bufs
+    cross-entropy on a batch given by its (n * positions, 9) dense patches
+    and its nonzero patch `rows` at `where`, in the operation order of the
+    autodiff engine's backward passes over `FrameClassifier._forward` and
+    softmax_cross_entropy, so the bits match a taped step."""
     n = len(labels)
-    h, logits = clf._forward(patches, x, t, y, buf)
+    x, t, h, logits = clf._forward(rows, where, n)
     g = np.exp(log_softmax(logits))
     g[np.arange(n), labels] -= 1.0
     g /= n
     clf.b_head.grad = g.sum(axis=0)
     clf.w_head.grad = h.T @ g
-    np.matmul(g, clf.w_head.data.T, out=dh.reshape(n, -1))
-    d = gelu_backward(x, t, dh, out=y, buf=buf)
-    clf.b_conv.grad = d.sum(axis=(0, 1))    # slow, but `ones @ d` changes the bits
-    clf.w_conv.grad = patches.reshape(-1, 9).T @ d.reshape(-1, clf.channels)
+    dh = g @ clf.w_head.data.T
+    slope = gelu_backward(x, t, 1.0)          # gelu' of the rows: times 1 changes no bit
+    d = (dh * np.tile(slope[-1], clf.positions)).reshape(-1, clf.channels)
+    d[where] = dh.reshape(-1, clf.channels)[where] * slope[:-1]
+    # the adds of d.sum(axis=(0, 1)) over (n, positions, channels), faster
+    clf.b_conv.grad = np.einsum("ijk->k", d.reshape(n, -1, clf.channels))
+    # dense: on the nonzero rows alone, BLAS splits the sum at other points
+    clf.w_conv.grad = patches.T @ d
 
 
 def leakage_rollouts(model, dataset, seed, pairs_per_source=10):

@@ -353,6 +353,29 @@ class TestEvalProbe:
         assert not (tmp_path / "lk").exists()
         assert calls == []
 
+    @pytest.mark.parametrize("edit, words", [
+        (("source_count = 4", "source_count = 0"), "no episodes of embodiment(s) 1, 2, 3"),
+        (("T = 9\n", "T = 9\nn_embodiments = 1\n"), "only embodiment 0"),
+    ], ids=["no-sources", "one-embodiment"])
+    def test_leakage_refuses_dataset_without_an_embodiment(self, workdir, tmp_path, capsys,
+                                                           monkeypatch, edit, words):
+        # a classifier that never saw an embodiment cannot measure leakage
+        # into it: refuse, naming the file, before any classifier training
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(CFG.replace(*edit))
+        _run("gen", ["gen", "--spec", cfg, "--out", tmp_path / "data"])
+        calls = []
+        monkeypatch.setattr(ev, "train_frame_classifier",
+                            lambda *a, **k: calls.append(a) or (None, 0.0))
+        data = tmp_path / "data" / "dataset.bin"
+        rc = main(["leakage", "--checkpoint", str(workdir / "run"), "--data", str(data),
+                   "--out", str(tmp_path / "lk")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ValueError: {data}: ") and words in err
+        assert not (tmp_path / "lk").exists()
+        assert calls == []
+
     def _probe_fails(self, run, data, tmp_path, capsys):
         rc = main(["probe", "--checkpoint", str(run), "--data", str(data),
                    "--out", str(tmp_path / "pr")])

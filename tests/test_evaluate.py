@@ -183,17 +183,18 @@ def _taped_probs(clf, frames):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _taped_frame_classifier(dataset, seed, steps):
+def _taped_frame_classifier(dataset, seed, steps, frames_of=frame_from_obs):
     """The frame classifier trained through the autodiff tape: one
     `softmax_cross_entropy(...).backward()` and AdamW step per batch, on the
-    same frames, batches and initialisation as `train_frame_classifier`."""
+    same frames, batches and initialisation as `train_frame_classifier`
+    when that renders its frames with `frames_of`."""
     rng = stream(seed, "frame-clf")
     obs, labels = [], []
     for ep in dataset.episodes:
         picks = rng.choice(len(ep.x), size=min(4, len(ep.x)), replace=False)
         obs.append(ep.x[picks])
         labels += [ep.e] * len(picks)
-    frames = frame_from_obs(np.concatenate(obs), dataset.spec)
+    frames = frames_of(np.concatenate(obs), dataset.spec)
     labels = np.array(labels)
     perm = rng.permutation(len(frames))
     frames, labels = frames[perm], labels[perm]
@@ -211,20 +212,72 @@ def _taped_frame_classifier(dataset, seed, steps):
     return clf, float((_taped_probs(clf, va_f).argmax(1) == va_l).mean())
 
 
-@pytest.mark.parametrize("m_target, source_count", [(6, 15), (2, 4)])
-def test_closed_form_classifier_matches_taped_training(monkeypatch, m_target, source_count):
+def _dense_frames(obs, spec):
+    """Rendered frames plus a positive offset: no 3x3 patch is all zero."""
+    frames = frame_from_obs(obs, spec)
+    return frames + stream(2, "clf-dense").uniform(0.1, 1.0, size=frames.shape).astype(F32)
+
+
+def _frames_with_blanks(obs, spec):
+    """Rendered frames with every third one all zero."""
+    frames = frame_from_obs(obs, spec)
+    frames[::3] = 0.0
+    return frames
+
+
+@pytest.mark.parametrize("m_target, source_count, frames_of", [
+    (6, 15, frame_from_obs), (2, 4, frame_from_obs),
+    (6, 15, _dense_frames), (6, 15, _frames_with_blanks),
+], ids=["6-15", "2-4", "6-15-dense", "6-15-with-blanks"])
+def test_closed_form_classifier_matches_taped_training(monkeypatch, m_target, source_count,
+                                                       frames_of):
     # (6, 15): 164 training frames, batches of 128; (2, 4): 45 training
-    # frames, so every batch is min(128, 45) rows
+    # frames, so every batch is min(128, 45) rows. Dense frames put every
+    # patch through the conv; blank frames give samples with no nonzero patch
     data = generate_dataset(0, DGPSpec(), m_target=m_target, source_count=source_count)
     monkeypatch.setattr(ev, "CLASSIFIER_STEPS", 50)
+    monkeypatch.setattr(ev, "frame_from_obs", frames_of)
+    grads = ev._classifier_grads
+
+    def checked_grads(clf, patches, rows, where, labels):
+        # the batch's patch buffer holds its rows at `where` and zeros elsewhere
+        off = np.ones(len(patches), bool)
+        off[where] = False
+        assert not patches[off].view(np.uint32).any()
+        np.testing.assert_array_equal(patches[where], rows)
+        return grads(clf, patches, rows, where, labels)
+
+    monkeypatch.setattr(ev, "_classifier_grads", checked_grads)
     clf, val_acc = train_frame_classifier(data, seed=0)
-    ref, ref_acc = _taped_frame_classifier(data, seed=0, steps=50)
+    ref, ref_acc = _taped_frame_classifier(data, seed=0, steps=50, frames_of=frames_of)
     assert val_acc == ref_acc
     for name, p in ref.params().items():
         np.testing.assert_array_equal(clf.params()[name].data, p.data, err_msg=name)
     frames = stream(1, "clf-probe").uniform(size=(20, 16, 16))
     np.testing.assert_array_equal(clf._patches(frames), _slice_patches(frames))
     np.testing.assert_array_equal(clf.probs(frames), _taped_probs(ref, frames))
+
+
+def _mostly_zero(shape):
+    frames = stream(3, "clf-sparse").uniform(size=shape).astype(F32)
+    frames[stream(4, "clf-sparse").uniform(size=shape) < 0.97] = 0.0
+    return frames
+
+
+@pytest.mark.parametrize("make", [
+    lambda shape: stream(5, "clf-uniform").uniform(size=shape),
+    lambda shape: np.zeros(shape, F32),
+    _mostly_zero,
+    lambda shape: np.full(shape, -0.0, F32),
+], ids=["uniform", "all-zero", "mostly-zero", "negative-zero"])
+def test_sparse_forward_matches_taped_logits(classifier, make):
+    # the conv on the nonzero patches plus one all-zero patch gives the
+    # dense taped forward's logits bit for bit
+    clf, _ = classifier
+    frames = make((12, 16, 16))
+    *_, logits = clf._forward(*clf._nonzero_patches(frames), len(frames))
+    with no_grad():
+        np.testing.assert_array_equal(logits, _taped_logits(clf, frames).data)
 
 
 class TestLeakagePipeline:
