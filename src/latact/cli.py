@@ -82,6 +82,22 @@ def _load_model_dir(path):
     return model, meta
 
 
+def _load_for_data(paths, data_path):
+    """The model directories at `paths`, each as (model, meta), and the
+    dataset at `data_path`; refused when a model cannot take the dataset's
+    observations (d_v must be its d_x) or actions (d_a_max at least its d_a)."""
+    loaded = [_load_model_dir(path) for path in paths]
+    dataset = load_dataset(data_path)
+    spec = dataset.spec
+    for path, (model, _) in zip(paths, loaded):
+        cfg = model.cfg
+        if cfg.d_v != spec.d_x or cfg.d_a_max < spec.d_a:
+            raise ValueError(f"{Path(path) / 'model.json'} (d_v {cfg.d_v}, d_a_max "
+                             f"{cfg.d_a_max}) cannot take {data_path} (d_x {spec.d_x}, "
+                             f"d_a {spec.d_a})")
+    return loaded, dataset
+
+
 def _save_model_dir(out_dir, model, meta):
     ckpt = out_dir / "checkpoint.bin"
     save_checkpoint(ckpt, model.numpy_params())
@@ -167,15 +183,16 @@ def _train_config(config, variant, seed):
 def cmd_eval(args):
     if args.episodes < 1:
         raise ConfigError(f"--episodes must be at least 1, got {args.episodes}")
-    models = {}
+    paths = {}
     for part in args.checkpoints.split(","):
         name, _, path = part.partition("=")
         if not name or not path:
             raise ConfigError(f"--checkpoints entries must be name=dir, got {part!r}")
-        if name in models:
+        if name in paths:
             raise ConfigError(f"--checkpoints names {name!r} more than once")
-        models[name], _ = _load_model_dir(path)
-    dataset = load_dataset(args.data)
+        paths[name] = path
+    loaded, dataset = _load_for_data(paths.values(), args.data)
+    models = {name: model for name, (model, _) in zip(paths, loaded)}
     out_dir = _out_dir(args)
     tables = ev.run_transfer_eval(models, dataset.spec, args.seed,
                                   n_episodes=args.episodes, target_e=dataset.target_e)
@@ -197,8 +214,7 @@ def cmd_eval(args):
 
 
 def cmd_probe(args):
-    model, _ = _load_model_dir(args.checkpoint)
-    dataset = load_dataset(args.data)
+    [(model, _)], dataset = _load_for_data([args.checkpoint], args.data)
     out_dir = _out_dir(args)
     report = ev.action_probe(model, dataset, seed=args.seed)
     z, u, e = ev.latents_with_ground_truth(model, dataset)
@@ -211,8 +227,7 @@ def cmd_probe(args):
 
 
 def cmd_leakage(args):
-    model, _ = _load_model_dir(args.checkpoint)
-    dataset = load_dataset(args.data)
+    [(model, _)], dataset = _load_for_data([args.checkpoint], args.data)
     embodiments = dataset.spec.embodiments
     if len(embodiments) < 2:
         raise ValueError(f"{args.data}: only embodiment {dataset.target_e}; leakage "
@@ -238,8 +253,10 @@ def cmd_leakage(args):
 
 
 def cmd_a2l(args):
-    model, meta = _load_model_dir(args.checkpoint)
-    dataset = load_dataset(args.data)
+    [(model, meta)], dataset = _load_for_data([args.checkpoint], args.data)
+    if model.gtcond is not None:
+        raise ValueError(f"{args.checkpoint}: a raw-action checkpoint has no "
+                         "trained inverse model to fit the controller to")
     out_dir = _out_dir(args)
     if model.a2l is None:
         from .models import A2LParams
@@ -304,33 +321,33 @@ def cmd_verify(args):
             "invariance_stat": rep["invariance_stat"],
             "max_principal_angle": rep["max_principal_angle"],
         })
-    ok = all(r.get("ok") and r["ce_gap"] < 0.05 and r["invariance_stat"] < 0.05
-             and r["max_principal_angle"] < 0.1 for r in saddle_stats)
-    checks.append({"check": "saddle", "seeds": seeds, "passed": bool(ok),
-                   "statistic": saddle_stats,
-                   "threshold": {"ce_gap": 0.05, "invariance_stat": 0.05,
-                                 "max_principal_angle": 0.1}})
+    threshold = {"ce_gap": 0.05, "invariance_stat": 0.05, "max_principal_angle": 0.1}
+    ok = all(r["ok"] and all(r[k] < bound for k, bound in threshold.items())
+             for r in saddle_stats)
+    checks.append({"check": "saddle", "seeds": seeds, "passed": ok,
+                   "statistic": saddle_stats, "threshold": threshold})
 
     mgf_stat = _mgf_check(preset, args.seed)
+    threshold = {"worst_z": 3.0}
     checks.append({"check": "mgf", "seeds": [args.seed],
-                   "passed": mgf_stat["worst_z"] < 3.0,
-                   "statistic": mgf_stat, "threshold": {"worst_z": 3.0}})
+                   "passed": mgf_stat["worst_z"] < threshold["worst_z"],
+                   "statistic": mgf_stat, "threshold": threshold})
 
     bessel_res = _bessel_recurrence_residual()
+    threshold = {"max_relative_residual": 1e-8}
     checks.append({"check": "bessel-recurrence", "seeds": [],
-                   "passed": bessel_res < 1e-8,
+                   "passed": bessel_res < threshold["max_relative_residual"],
                    "statistic": {"max_relative_residual": bessel_res},
-                   "threshold": {"max_relative_residual": 1e-8}})
+                   "threshold": threshold})
 
     lemma = theory.idm_lemma_check(seed=args.seed)
-    lemma_ok = (lemma["premise_met"] and lemma["r2_forward"] > 0.99
-                and lemma["r2_inverse"] > 0.99
-                and lemma["r2_shuffled"] < 0.1
-                and lemma["state_dependence_gap"] < 0.01)
+    threshold = {"r2": 0.99, "r2_shuffled": 0.1, "state_dependence_gap": 0.01}
+    lemma_ok = (lemma["premise_met"] and lemma["r2_forward"] > threshold["r2"]
+                and lemma["r2_inverse"] > threshold["r2"]
+                and lemma["r2_shuffled"] < threshold["r2_shuffled"]
+                and lemma["state_dependence_gap"] < threshold["state_dependence_gap"])
     checks.append({"check": "idm-lemma", "seeds": [args.seed],
-                   "passed": bool(lemma_ok), "statistic": lemma,
-                   "threshold": {"r2": 0.99, "r2_shuffled": 0.1,
-                                 "state_dependence_gap": 0.01}})
+                   "passed": bool(lemma_ok), "statistic": lemma, "threshold": threshold})
 
     path = _out_dir(args) / "verify.json"
     _write_json(path, {"preset": args.preset, "checks": checks})

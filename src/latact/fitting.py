@@ -94,33 +94,26 @@ def fit_logistic_probe(z, labels, n_classes, steps=600, *, seed):
     return predict_logits, final_ce
 
 
-def energy_distance(x, y):
-    """Energy distance between two samples (parameter-free two-sample stat)."""
-    x = np.asarray(x, np.float64)
-    y = np.asarray(y, np.float64)
-
-    def mean_dist(a, b):
-        d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
-        return d.mean()
-
-    return 2 * mean_dist(x, y) - mean_dist(x, x) - mean_dist(y, y)
-
-
 N_PERMUTATIONS = 200
 
 
 def energy_permutation_test(x, y, seed):
-    """p-value for H0: same distribution, via label permutation."""
+    """p-value and energy distance for H0: x and y share one distribution,
+    by label permutation (Székely & Rizzo 2004). The pooled pairwise
+    distances are computed once; every split reads its blocks from them."""
     rng = stream(seed, "energy-perm")
-    x = np.asarray(x, np.float64)
-    y = np.asarray(y, np.float64)
-    obs = energy_distance(x, y)
-    pooled = np.vstack([x, y])
+    pooled = np.vstack([np.asarray(x, np.float64), np.asarray(y, np.float64)])
+    dist = np.linalg.norm(pooled[:, None, :] - pooled[None, :, :], axis=-1)
     n = len(x)
+
+    def energy(order):
+        a, b = order[:n], order[n:]
+        return (2 * dist[np.ix_(a, b)].mean() - dist[np.ix_(a, a)].mean()
+                - dist[np.ix_(b, b)].mean())
+
+    obs = energy(np.arange(len(pooled)))
     hits = 0
     for _ in range(N_PERMUTATIONS):
-        perm = rng.permutation(len(pooled))
-        stat = energy_distance(pooled[perm[:n]], pooled[perm[n:]])
-        if stat >= obs:
+        if energy(rng.permutation(len(pooled))) >= obs:
             hits += 1
     return (hits + 1) / (N_PERMUTATIONS + 1), obs

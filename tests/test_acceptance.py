@@ -283,10 +283,9 @@ def test_c06_invariance(recovery):
 def test_c07_recovery_and_pushforward(recovery):
     rep = recovery[0]["scar-kl-grl"]
     z, u, e = rep["latents"]
-    push = _timed("probes[s0]", lambda: theory.pushforward_and_transfer_check(
-        z, u, e, seed=0))
+    push = _timed("probes[s0]", lambda: theory.pushforward_law_test(z, e, seed=0))
     control = np.hstack([u, np.eye(4, dtype=F32)[e]]).astype(F32)
-    push_ctrl = theory.pushforward_and_transfer_check(control, u, e, seed=0)
+    push_ctrl = theory.pushforward_law_test(control, e, seed=0)
     ok = (rep["min_r2_forward"] > 0.9 and rep["min_r2_inverse"] > 0.9
           and push["min_energy_pvalue"] > 0.05
           and push_ctrl["min_energy_pvalue"] <= 0.05)

@@ -26,7 +26,7 @@ from latact.worldgen import DGPSpec, generate_dataset
 ROOT = Path(__file__).resolve().parent.parent
 
 # wrap points the tracer still lists although the program no longer has them
-STALE_WRAP_POINTS = ["evaluate.action_cond_sequence"]
+STALE_WRAP_POINTS = ["evaluate.action_cond_sequence", "theory.fit_mlp"]
 
 
 def _perfbench(name):

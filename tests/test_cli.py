@@ -457,6 +457,25 @@ class TestEvalProbe:
         assert rc == 1
         assert "checkpoint.bin" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dgp", ["d_x = 14\nd_a = 4\n", "d_a = 6\n"], ids=["d_x", "d_a"])
+    @pytest.mark.parametrize("command", ["eval", "probe", "leakage", "a2l"])
+    def test_model_that_cannot_take_the_dataset_names_both_files(self, workdir, tmp_path,
+                                                                 capsys, command, dgp):
+        # the model was trained on 12-wide observations and 5-wide actions
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(CFG.replace("[dgp]\n", "[dgp]\n" + dgp))
+        _run("gen", ["gen", "--spec", cfg, "--out", tmp_path / "data"])
+        data = tmp_path / "data" / "dataset.bin"
+        run = workdir / "run"
+        checkpoint = ["--checkpoints", f"m={run}"] if command == "eval" else ["--checkpoint", run]
+        rc = main([str(a) for a in [command, *checkpoint, "--data", data,
+                                    "--out", tmp_path / "o"]])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ValueError: {run / 'model.json'} ")
+        assert f"cannot take {data} " in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
 
 class TestA2l:
     @pytest.mark.parametrize("mode", ["sequence", "pointwise", "ft"])
@@ -477,6 +496,19 @@ class TestA2l:
         fdm_changed = any(after[k].tobytes() != before[k].tobytes()
                           for k in before if k.startswith("fdm."))
         assert fdm_changed == (mode == "ft")
+
+    def test_raw_action_checkpoint_refused(self, workdir, tmp_path, capsys):
+        # a gt-action-baseline checkpoint conditions on raw actions; its
+        # inverse model was never trained, so there is nothing to fit A2L to
+        run = tmp_path / "gt"
+        _run("train --variant gt-action-baseline",
+             ["train", "--variant", "gt-action-baseline", "--config", workdir / "cfg.txt",
+              "--data", workdir / "data" / "dataset.bin", "--out", run])
+        rc = main(["a2l", "--checkpoint", str(run), "--data", str(workdir / "data" / "dataset.bin"),
+                   "--out", str(tmp_path / "a2l"), "--mode", "ft"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: ValueError: {run}: a raw-action ")
+        assert not (tmp_path / "a2l").exists()
 
     @pytest.mark.parametrize("pointwise", [False, True])
     def test_eval_mse_is_the_mean_of_per_episode_errors(self, workdir, pointwise):

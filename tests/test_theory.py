@@ -17,7 +17,7 @@ from latact.theory import (
     make_vmf_experiment,
     mgf_closed_form,
     principal_angles,
-    pushforward_and_transfer_check,
+    pushforward_law_test,
     saddle_train,
     state_dependence_gap,
     train_linear_idm_fdm,
@@ -25,7 +25,7 @@ from latact.theory import (
     _collect_transitions,
 )
 from latact.autodiff import Tensor, grl, softmax_cross_entropy
-from latact.fitting import fit_linear, r2_score
+from latact.fitting import N_PERMUTATIONS, energy_permutation_test, fit_linear, r2_score
 from latact.optim import AdamW
 from latact.worldgen import vmf_sample
 
@@ -412,6 +412,30 @@ class TestLinearLemma:
         assert r2_as > r2_a
 
 
+def _energy_distance(x, y):
+    # each split's own pairwise norms, as the permutation test computed them
+    # before it shared one pooled distance matrix
+    def mean_dist(a, b):
+        return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1).mean()
+
+    return 2 * mean_dist(x, y) - mean_dist(x, x) - mean_dist(y, y)
+
+
+def _reference_permutation_test(x, y, seed):
+    rng = stream(seed, "energy-perm")
+    x = np.asarray(x, np.float64)
+    y = np.asarray(y, np.float64)
+    obs = _energy_distance(x, y)
+    pooled = np.vstack([x, y])
+    n = len(x)
+    hits = 0
+    for _ in range(N_PERMUTATIONS):
+        perm = rng.permutation(len(pooled))
+        if _energy_distance(pooled[perm[:n]], pooled[perm[n:]]) >= obs:
+            hits += 1
+    return (hits + 1) / (N_PERMUTATIONS + 1), obs
+
+
 class TestPushforward:
     def test_shared_law_passes_distinct_fails(self):
         rng = stream(11, "push")
@@ -421,10 +445,29 @@ class TestPushforward:
         W = rng.normal(size=(d_u, d_z)).astype(np.float32)
         # same map for both embodiments -> shared pushforward
         z_shared = np.tanh(u @ W)
-        rep = pushforward_and_transfer_check(z_shared, u, e, seed=0, mlp_steps=400)
+        rep = pushforward_law_test(z_shared, e, seed=0)
         assert rep["min_energy_pvalue"] > 0.05
-        assert max(rep["roundtrip_err"].values()) < 0.05
         # plant an embodiment-dependent shift -> laws differ
         z_leaky = z_shared + 0.8 * e[:, None]
-        rep2 = pushforward_and_transfer_check(z_leaky, u, e, seed=0, mlp_steps=400)
+        rep2 = pushforward_law_test(z_leaky, e, seed=0)
         assert rep2["min_energy_pvalue"] < 0.05
+
+    def test_pvalues_and_statistics_match_per_split_distances(self):
+        # unequal embodiments: every one is halved, and the two largest
+        # held-out halves (330 and 350 rows) are cut to 300
+        rng = stream(12, "push-bits")
+        sizes = [90, 150, 660, 701]
+        e = rng.permutation(np.repeat(np.arange(4), sizes))
+        z = rng.normal(size=(len(e), 3)).astype(np.float32)
+        z[e == 3] += 0.15
+        rep = pushforward_law_test(z, e, seed=4)
+        halves = {k: z[e == k][n // 2:] for k, n in enumerate(sizes)}
+        assert sorted(rep["energy_pvalues"]) == [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        for (i, j), p in rep["energy_pvalues"].items():
+            m = min(len(halves[i]), len(halves[j]), 300)
+            x, y = halves[i][:m], halves[j][:m]
+            p_ref, stat_ref = _reference_permutation_test(x, y, seed=4)
+            p_new, stat_new = energy_permutation_test(x, y, seed=4)
+            assert p == p_new == p_ref, (i, j)
+            assert stat_new.tobytes() == stat_ref.tobytes(), (i, j)
+        assert rep["min_energy_pvalue"] == min(rep["energy_pvalues"].values())
