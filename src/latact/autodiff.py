@@ -78,7 +78,7 @@ def _is_basic_index(idx):
 class Tensor:
     """Dense array participating in reverse-mode differentiation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, _parents=(), op="leaf", _grads=()):
         self.data = np.asarray(data, dtype=DTYPE)  # module DTYPE read at creation time
@@ -95,7 +95,6 @@ class Tensor:
                     if p.requires_grad:
                         p._accum(f(g))
             self._backward = backward
-        self.op = op
         if CHECK_FINITE and not np.all(np.isfinite(self.data)):
             raise NonFiniteError(op)
 
@@ -220,9 +219,6 @@ class Tensor:
         x = self.data
         t, y = gelu_forward(x)
         return Tensor(y, _parents=(self,), op="gelu", _grads=(lambda g: gelu_backward(x, t, g),))
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, op={self.op}, grad={'set' if self.grad is not None else 'unset'})"
 
 
 # ---- free functions ----

@@ -32,7 +32,6 @@ from .models import ModelConfig, build_model, dataset_fields
 from .rng import stream
 from .serialize import load_checkpoint, save_checkpoint
 from .training import (
-    VARIANTS,
     TrainingAborted,
     make_config,
     model_checksum,
@@ -85,17 +84,26 @@ def _load_model_dir(path):
 def _load_for_data(paths, data_path):
     """The model directories at `paths`, each as (model, meta), and the
     dataset at `data_path`; refused when a model cannot take the dataset's
-    observations (d_v must be its d_x) or actions (d_a_max at least its d_a)."""
+    observations (d_v must be its d_x), actions (d_a_max at least its d_a)
+    or episodes (f_hist below its T)."""
     loaded = [_load_model_dir(path) for path in paths]
     dataset = load_dataset(data_path)
     spec = dataset.spec
     for path, (model, _) in zip(paths, loaded):
         cfg = model.cfg
-        if cfg.d_v != spec.d_x or cfg.d_a_max < spec.d_a:
+        if cfg.d_v != spec.d_x or cfg.d_a_max < spec.d_a or cfg.f_hist >= spec.T:
             raise ValueError(f"{Path(path) / 'model.json'} (d_v {cfg.d_v}, d_a_max "
-                             f"{cfg.d_a_max}) cannot take {data_path} (d_x {spec.d_x}, "
-                             f"d_a {spec.d_a})")
+                             f"{cfg.d_a_max}, f_hist {cfg.f_hist}) cannot take {data_path} "
+                             f"(d_x {spec.d_x}, d_a {spec.d_a}, T {spec.T})")
     return loaded, dataset
+
+
+def _require_target_episodes(dataset, data_path):
+    """Refuse a dataset without target-embodiment episodes, which `probe`,
+    `a2l` and the target-only variant train on."""
+    if not dataset.by_embodiment(dataset.target_e):
+        raise ValueError(f"{data_path}: no episodes of the target embodiment "
+                         f"{dataset.target_e} ([data] m_target = 0)")
 
 
 def _save_model_dir(out_dir, model, meta):
@@ -142,9 +150,14 @@ def cmd_gen(args):
 
 def cmd_train(args):
     config = load_config(args.config) if args.config else {}
-    train_cfg = _train_config(config, args.variant, args.seed)
+    train_cfg = build_section(config, "train", variant=args.variant, seed=args.seed)
     dataset = load_dataset(args.data)
     model_cfg = build_section(config, "model", **dataset_fields(dataset.spec))
+    if model_cfg.f_hist >= dataset.spec.T:
+        raise ConfigError(f"[model] f_hist {model_cfg.f_hist} leaves nothing to predict "
+                          f"in the {dataset.spec.T}-step episodes of {args.data}")
+    if train_cfg.flags.target_only:
+        _require_target_episodes(dataset, args.data)
     out_dir = _out_dir(args)
     model = build_model(model_cfg, stream(train_cfg.seed, "model-init"),
                         with_gtcond=train_cfg.flags.gt_action)
@@ -161,23 +174,6 @@ def cmd_train(args):
                               "with_a2l": False, "with_gtcond": train_cfg.flags.gt_action})
     return Outputs(f"train --variant {args.variant}", config_hash(config), files,
                    f"train: {args.variant} final L_total {rows[-1]['L_total']:.5f}")
-
-
-def _train_config(config, variant, seed):
-    """[train] values over the variant's default loss weights (`make_config`)."""
-    values = dict(config.get("train", {}))
-    if values.pop("variant", variant) != variant:
-        raise ConfigError("variant flag contradicts the config file")
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r} (choose from {sorted(VARIANTS)})")
-    if "seed" in values:
-        raise ConfigError("[train] key 'seed' is set by the command (--seed), "
-                          "not by the config file")
-    values["seed"] = seed
-    try:
-        return make_config(variant, **values)
-    except ValueError as exc:
-        raise ConfigError(f"[train] {exc}") from exc
 
 
 def cmd_eval(args):
@@ -215,6 +211,7 @@ def cmd_eval(args):
 
 def cmd_probe(args):
     [(model, _)], dataset = _load_for_data([args.checkpoint], args.data)
+    _require_target_episodes(dataset, args.data)
     out_dir = _out_dir(args)
     report = ev.action_probe(model, dataset, seed=args.seed)
     z, u, e = ev.latents_with_ground_truth(model, dataset)
@@ -257,6 +254,7 @@ def cmd_a2l(args):
     if model.gtcond is not None:
         raise ValueError(f"{args.checkpoint}: a raw-action checkpoint has no "
                          "trained inverse model to fit the controller to")
+    _require_target_episodes(dataset, args.data)
     out_dir = _out_dir(args)
     if model.a2l is None:
         from .models import A2LParams
@@ -297,7 +295,6 @@ def _a2l_eval_mse(model, dataset, seed, pointwise):
 VMF_PRESETS = {
     "vmf-small": dict(d_a=4, d_z=2, n_embodiments=4, kappa=8.0),
     "vmf-default": dict(d_a=6, d_z=3, n_embodiments=4, kappa=8.0),
-    "vmf-large": dict(d_a=8, d_z=4, n_embodiments=5, kappa=8.0),
 }
 
 

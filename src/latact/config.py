@@ -10,7 +10,7 @@ import hashlib
 import json
 
 from .models import ModelConfig
-from .training import TrainConfig
+from .training import TrainConfig, make_config
 from .worldgen import DGPSpec
 
 
@@ -33,34 +33,25 @@ SECTION_TYPES = {
 }
 
 
-def _field_types(cls):
-    return {f.name: f for f in dataclasses.fields(cls)}
+# What a key expects, by the type of its default, and how its text parses.
+# bool comes before int, whose subclass it is; a str default takes the text.
+BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+PARSERS = (
+    (bool, "a boolean", lambda raw: BOOLEANS[raw.lower()]),
+    (int, "an integer", int),
+    (float, "a number", float),
+    (tuple, "comma-separated integers",
+     lambda raw: tuple(int(p) for p in raw.split(",") if p.strip())),
+)
 
 
 def _coerce(raw, default, key, lineno):
-    if isinstance(default, bool):
-        low = raw.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"line {lineno}: key '{key}' expects a boolean, got {raw!r}")
-    if isinstance(default, int):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: key '{key}' expects an integer, got {raw!r}")
-    if isinstance(default, float):
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: key '{key}' expects a number, got {raw!r}")
-    if isinstance(default, tuple):
-        try:
-            return tuple(int(p) for p in raw.split(",") if p.strip())
-        except ValueError:
-            raise ConfigError(f"line {lineno}: key '{key}' expects comma-separated "
-                              f"integers, got {raw!r}")
+    for kind, expects, parse in PARSERS:
+        if isinstance(default, kind):
+            try:
+                return parse(raw)
+            except (KeyError, ValueError):
+                raise ConfigError(f"line {lineno}: key '{key}' expects {expects}, got {raw!r}")
     return raw
 
 
@@ -68,8 +59,6 @@ def parse_config(text):
     """-> {section: {key: typed value}}; strict about sections and keys."""
     out = {}
     section = None
-    fields = None
-    defaults = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -78,9 +67,7 @@ def parse_config(text):
             section = stripped[1:-1].strip()
             if section not in SECTION_TYPES:
                 raise ConfigError(f"line {lineno}: unknown section '{section}'")
-            cls = SECTION_TYPES[section]
-            fields = _field_types(cls)
-            defaults = cls()
+            defaults = {f.name: f.default for f in dataclasses.fields(SECTION_TYPES[section])}
             out.setdefault(section, {})
             continue
         if "=" not in stripped:
@@ -88,9 +75,9 @@ def parse_config(text):
         if section is None:
             raise ConfigError(f"line {lineno}: key outside any [section]")
         key, raw = (p.strip() for p in stripped.split("=", 1))
-        if key not in fields:
+        if key not in defaults:
             raise ConfigError(f"line {lineno}: unknown key '{key}' in [{section}]")
-        out[section][key] = _coerce(raw, getattr(defaults, key), key, lineno)
+        out[section][key] = _coerce(raw, defaults[key], key, lineno)
     return out
 
 
@@ -108,8 +95,10 @@ def build_section(config, section, **overrides):
         raise ConfigError(f"[{section}] key '{clash[0]}' is set by the command, "
                           "not by the config file")
     kwargs.update(overrides)
+    # `make_config` zeroes the weight of each loss term the variant drops
+    build = make_config if section == "train" else SECTION_TYPES[section]
     try:
-        return SECTION_TYPES[section](**kwargs)
+        return build(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"[{section}] {exc}") from exc
 

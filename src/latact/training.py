@@ -82,10 +82,14 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        for name in ("beta", "lam_adv", "alpha"):
+            raise ValueError(f"unknown variant {self.variant!r} (choose from {sorted(VARIANTS)})")
+        for name in ("beta", "lam_adv", "alpha", "lr_idm", "lr_fdm", "lr_disc",
+                     "wd_idm", "wd_fdm"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        for name in ("steps", "batch_episodes") + ("pretrain_steps",) * self.pretrain_fdm:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         for weight, term in (("beta", self.flags.kl), ("lam_adv", self.flags.grl)):
             if term and getattr(self, weight) == 0:
                 raise ValueError(f"variant {self.variant} requires {weight} > 0")
@@ -100,10 +104,10 @@ class TrainConfig:
 def make_config(variant, **overrides):
     """TrainConfig with loss weights consistent with the variant's gating:
     TrainConfig's default weights where a term is active, zero where not."""
-    flags = VARIANTS[variant]
+    flags = VARIANTS.get(variant)   # None: TrainConfig refuses the variant
     base = {"variant": variant,
-            "beta": TrainConfig.beta if flags.kl else 0.0,
-            "lam_adv": TrainConfig.lam_adv if flags.grl else 0.0}
+            "beta": TrainConfig.beta if flags and flags.kl else 0.0,
+            "lam_adv": TrainConfig.lam_adv if flags and flags.grl else 0.0}
     base.update(overrides)
     return TrainConfig(**base)
 

@@ -40,6 +40,8 @@ class DGPSpec:
     param_seed: int = 0            # seed for drawing the fixed maps below
 
     def __post_init__(self):
+        if self.T < 2:
+            raise ValueError("T must be >= 2")
         if self.d_a < self.d_u:
             raise ValueError("raw action dim must be >= unified action dim")
         if self.nuisance_dim > self.d_x:

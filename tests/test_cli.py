@@ -188,7 +188,27 @@ class TestTrain:
                    "--data", str(workdir / "data" / "dataset.bin"),
                    "--out", str(tmp_path / "r")])
         assert rc == 1
-        assert "contradicts" in capsys.readouterr().err
+        assert "[train] key 'variant' is set by the command" in capsys.readouterr().err
+
+    def test_variant_key_refused_even_when_it_matches_the_flag(self, workdir, tmp_path,
+                                                                capsys):
+        # --variant alone names the variant; the key could only restate it
+        cfg = tmp_path / "same.txt"
+        cfg.write_text("[train]\nvariant = scar-grl\nsteps = 3\n")
+        rc = main(["train", "--variant", "scar-grl", "--config", str(cfg),
+                   "--data", str(workdir / "data" / "dataset.bin"),
+                   "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert "[train] key 'variant' is set by the command" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_unknown_variant_names_the_choices(self, workdir, tmp_path, capsys):
+        rc = main(["train", "--variant", "scar-xl", "--data",
+                   str(workdir / "data" / "dataset.bin"), "--out", str(tmp_path / "r")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "'scar-xl'" in err and all(v in err for v in VARIANTS)
+        assert not (tmp_path / "r").exists()
 
     def test_stride_key_refused(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "stride.txt"
@@ -457,13 +477,16 @@ class TestEvalProbe:
         assert rc == 1
         assert "checkpoint.bin" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("dgp", ["d_x = 14\nd_a = 4\n", "d_a = 6\n"], ids=["d_x", "d_a"])
+    @pytest.mark.parametrize("edit", [("[dgp]\n", "[dgp]\nd_x = 14\nd_a = 4\n"),
+                                      ("[dgp]\n", "[dgp]\nd_a = 6\n"),
+                                      ("T = 9", "T = 5")], ids=["d_x", "d_a", "T"])
     @pytest.mark.parametrize("command", ["eval", "probe", "leakage", "a2l"])
     def test_model_that_cannot_take_the_dataset_names_both_files(self, workdir, tmp_path,
-                                                                 capsys, command, dgp):
-        # the model was trained on 12-wide observations and 5-wide actions
+                                                                 capsys, command, edit):
+        # the model was trained on 12-wide observations and 5-wide actions,
+        # with a 5-step context
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(CFG.replace("[dgp]\n", "[dgp]\n" + dgp))
+        cfg.write_text(CFG.replace(*edit))
         _run("gen", ["gen", "--spec", cfg, "--out", tmp_path / "data"])
         data = tmp_path / "data" / "dataset.bin"
         run = workdir / "run"
@@ -572,7 +595,17 @@ def test_main_runs_the_command_bound_on_the_module(tmp_path, monkeypatch, capsys
     ("train", "[model]\nf_hist = 0\n", "[model] f_hist must be >= 1"),
     ("gen", "[dgp]\nmixing = mixx\n", "[dgp] mixing must be 'mix' or 'identity', got 'mixx'"),
     ("gen", "[data]\ntarget_e = 4\n", "[data] target_e must be one of the 4 embodiments, got 4"),
-], ids=["f_hist", "mixing", "target_e"])
+    ("train", "[train]\nsteps = 0\n", "[train] steps must be >= 1"),
+    ("train", "[train]\nbatch_episodes = 0\n", "[train] batch_episodes must be >= 1"),
+    ("train", "[train]\nsteps = 3\npretrain_fdm = true\npretrain_steps = 0\n",
+     "[train] pretrain_steps must be >= 1"),
+    ("train", "[train]\nlr_idm = -1e-3\n", "[train] lr_idm must be >= 0"),
+    ("train", "[train]\nsteps = 3\nwd_fdm = -0.05\n", "[train] wd_fdm must be >= 0"),
+    ("gen", "[dgp]\nT = 1\n", "[dgp] T must be >= 2"),
+    ("train", "[model]\nf_hist = 9\n[train]\nsteps = 3\n",
+     "[model] f_hist 9 leaves nothing to predict in the 9-step episodes of "),
+], ids=["f_hist", "mixing", "target_e", "steps", "batch_episodes", "pretrain_steps",
+        "lr_idm", "wd_fdm", "T", "f_hist_horizon"])
 def test_unworkable_config_value_refused(workdir, tmp_path, capsys, command, text, words):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(text)
@@ -584,6 +617,37 @@ def test_unworkable_config_value_refused(workdir, tmp_path, capsys, command, tex
     err = capsys.readouterr().err
     assert err.startswith("error: ConfigError: ") and words in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def no_target_data(workdir):
+    """A dataset of the workdir's make-up without target-embodiment episodes."""
+    cfg = workdir / "no-target.txt"
+    cfg.write_text(CFG.replace("m_target = 4", "m_target = 0"))
+    _run("gen", ["gen", "--spec", cfg, "--out", workdir / "no-target"])
+    return workdir / "no-target" / "dataset.bin"
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe", "--checkpoint", "run"],
+    ["a2l", "--checkpoint", "run"],
+    ["train", "--variant", "target-only-latent", "--config", "cfg.txt"],
+], ids=["probe", "a2l", "train"])
+def test_dataset_without_target_episodes_refused(workdir, no_target_data, tmp_path, capsys,
+                                                 argv):
+    argv = [workdir / a if a in ("run", "cfg.txt") else a for a in argv]
+    rc = main([str(a) for a in argv + ["--data", no_target_data, "--out", tmp_path / "o"]])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValueError: {no_target_data}: no episodes of the target")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_eval_runs_without_target_episodes(workdir, no_target_data, tmp_path):
+    # eval draws its held-out episodes from the dataset's DGP, not its records
+    _run("eval", ["eval", "--checkpoints", f"m={workdir / 'run'}", "--data", no_target_data,
+                  "--out", tmp_path / "ev", "--episodes", "2"])
 
 
 def test_missing_data_file_is_one_line_error(tmp_path, capsys):

@@ -78,7 +78,7 @@ class TestHashAndRender:
 class TestBuildSection:
     def test_defaults_plus_overrides(self):
         cfg = parse_config("[train]\nsteps = 7")
-        tc = build_section(cfg, "train", seed=3)
+        tc = build_section(cfg, "train", variant="scar-kl-grl", seed=3)
         assert tc.steps == 7 and tc.seed == 3
 
     def test_dataclass_validation_becomes_config_error(self):
