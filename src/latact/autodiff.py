@@ -107,10 +107,17 @@ class Tensor:
         return self.data.size
 
     def _accum(self, g):
+        """Add gradient `g` into `self.grad`. A C-contiguous, writeable first
+        gradient of this dtype is kept as it is, so parents may share one
+        array and no backward step may write into the gradient it is handed;
+        anything else (the stride-0 views of `sum`, the slices of `concat`)
+        is copied in `astype`'s memory order, on which a later matmul's bits
+        depend."""
         if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
+            keep = g.dtype == self.data.dtype and g.flags.c_contiguous and g.flags.writeable
+            self.grad = g if keep else g.astype(self.data.dtype)
         else:
-            self.grad = self.grad + g.astype(self.data.dtype)
+            self.grad = self.grad + g.astype(self.data.dtype, copy=False)
 
     def backward(self, grad=None):
         if grad is None:
@@ -338,24 +345,44 @@ def softmax_cross_entropy(logits, labels):
     return Tensor(ce, _parents=(logits,), op="softmax_cross_entropy", _grads=(logits_grad,))
 
 
-def layer_norm(h, gain, bias):
-    """Normalize the last axis to zero mean / unit variance, then gain, bias."""
-    x = h.data
+def _normalize(x):
+    """(xhat, inv): `x` normalized over its last axis, and 1 / its std."""
     d = x - x.mean(axis=-1, keepdims=True)
     # numpy's `var` in its own operation order, without taking `x - mean` again
     var = (d * d).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = d * inv
-    out_data = xhat * gain.data + bias.data
+    return d * inv, inv
 
-    def h_grad(g):
-        gx = g * gain.data
-        dg = gx.mean(axis=-1, keepdims=True)
-        dgx = (gx * xhat).mean(axis=-1, keepdims=True)
-        return inv * (gx - dg - xhat * dgx)
-    return Tensor(out_data, _parents=(h, gain, bias), op="layer_norm",
-                  _grads=(h_grad, lambda g: _unbroadcast(g * xhat, gain.shape),
+
+def _normalize_grad(gx, xhat, inv):
+    """Gradient through `_normalize` given the gradient `gx` of its xhat."""
+    dg = gx.mean(axis=-1, keepdims=True)
+    dgx = (gx * xhat).mean(axis=-1, keepdims=True)
+    return inv * (gx - dg - xhat * dgx)
+
+
+def layer_norm(h, gain, bias):
+    """Normalize the last axis to zero mean / unit variance, then gain, bias."""
+    xhat, inv = _normalize(h.data)
+    return Tensor(xhat * gain.data + bias.data, _parents=(h, gain, bias), op="layer_norm",
+                  _grads=(lambda g: _normalize_grad(g * gain.data, xhat, inv),
+                          lambda g: _unbroadcast(g * xhat, gain.shape),
                           lambda g: _unbroadcast(g, bias.shape)))
+
+
+def adaln(bg, h):
+    """(1 + gamma) * LN(h) + beta, with (beta, gamma) the two halves of the
+    last axis of `bg` (shape (..., 2d) for h of shape (..., d)): adaptive
+    layer norm as one node. `bg` is the first parent, so a backward sweep
+    reaches the modulation before the hidden path."""
+    d = h.shape[-1]
+    xhat, inv = _normalize(h.data)
+    gamma1 = bg.data[..., d:] + 1.0
+    out = gamma1 * xhat
+    out += bg.data[..., :d]
+    return Tensor(out, _parents=(bg, h), op="adaln",
+                  _grads=(lambda g: np.concatenate([g, g * xhat], axis=-1),
+                          lambda g: _normalize_grad(g * gamma1, xhat, inv)))
 
 
 def gradcheck(f, x, eps=1e-3):

@@ -55,6 +55,12 @@ class ModelConfig:
     n_euler_steps: int = 8
 
     def __post_init__(self):
+        for name in ("d_z", "d_c", "a2l_memory"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("idm_hidden", "fdm_hidden", "disc_hidden", "a2l_hidden"):
+            if any(w < 1 for w in getattr(self, name)):
+                raise ValueError(f"{name} widths must be >= 1, got {getattr(self, name)}")
         if self.time_width % 2:
             raise ValueError("time_width must be even")
         if not 0.0 <= self.p_clean <= 1.0:
@@ -323,9 +329,10 @@ def fdm_flow_predict(v_tilde, tau_seq, c_seq, fdm, v_ctx, bgs=None):
     ctx_tokens = Tensor(np.broadcast_to(v_ctx[..., None, :],
                                         (*v_ctx.shape[:-1], F, v_ctx.shape[-1])))
     h = concat([v_tilde, prev, ctx_tokens, temb], axis=-1)
+    h = h.reshape(-1, h.shape[-1])    # one 2-D gemm per matmul, not one per episode
     for (w, b), mod, bg in zip(fdm.layers, fdm.mods, bgs or [None] * len(fdm.mods)):
         h = adaln_modulate(h @ w + b, c_seq, mod, bg).gelu()
-    return h @ fdm.w_out + fdm.b_out
+    return (h @ fdm.w_out + fdm.b_out).reshape(*v_tilde.shape)
 
 def rollout_generate(context, c_seq, fdm, rng):
     """Euler-integrate the flow from tau=1 to tau=0 over the future tokens

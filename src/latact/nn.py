@@ -3,7 +3,7 @@ convolution, sinusoidal time embedding."""
 
 import numpy as np
 
-from .autodiff import Tensor, concat, layer_norm
+from .autodiff import Tensor, adaln, concat
 
 
 def init_linear(rng, fan_in, fan_out):
@@ -56,18 +56,18 @@ def adaln_modulate(h, c, mod, bg=None):
 
     Zeroed conditioning (c=0, zero bias) reduces exactly to LN(h). `bg`, if
     given, is `c @ mod.w + mod.b` computed beforehand, for a caller that
-    modulates with the same conditioning many times.
+    modulates with the same conditioning many times. `h` may hold the rows
+    of `c`'s leading axes flattened, as `(rows, d)`; the modulation is
+    computed in `c`'s shape and only its result is reshaped.
     """
     d = h.shape[-1]
     if d != mod.hidden_width:
         raise ValueError(f"hidden width {d} != modulation width {mod.hidden_width}")
     if bg is None:
         bg = c @ mod.w + mod.b
-    beta = bg[..., :d]
-    gamma = bg[..., d:]
-    ones = Tensor(np.ones(d, dtype=np.float32))
-    zeros = Tensor(np.zeros(d, dtype=np.float32))
-    return (gamma + 1.0) * layer_norm(h, ones, zeros) + beta
+    if bg.shape[:-1] != h.shape[:-1]:
+        bg = bg.reshape(*h.shape[:-1], 2 * d)
+    return adaln(bg, h)
 
 
 class CausalConvKernel:

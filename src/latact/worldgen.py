@@ -42,6 +42,11 @@ class DGPSpec:
     def __post_init__(self):
         if self.T < 2:
             raise ValueError("T must be >= 2")
+        for name in ("d_u", "d_s", "d_x", "n_embodiments", "frame_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.lighting_scale < 0:
+            raise ValueError(f"lighting_scale must be >= 0, got {self.lighting_scale}")
         if self.d_a < self.d_u:
             raise ValueError("raw action dim must be >= unified action dim")
         if self.nuisance_dim > self.d_x:

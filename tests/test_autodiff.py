@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from latact import autodiff
 from latact.autodiff import (
     Tensor,
+    adaln,
     concat,
     gradcheck,
     grl,
@@ -201,6 +202,100 @@ class TestCrossEntropyAndLayerNorm:
         assert err < 1e-4
         err = gradcheck(lambda g: (layer_norm(h, g, bias) ** 2).sum(), gain, eps=1e-4)
         assert err < 1e-4
+
+
+class TestAdaln:
+    @pytest.mark.parametrize("shape", [(3, 17, 16), (17, 16)])
+    def test_equals_the_unfused_composition(self, shape):
+        # output and both gradients are the bits of
+        # (gamma + 1) * layer_norm(h, ones, zeros) + beta over slices of bg
+        rng = stream(21, "test-adaln-bits")
+        d = shape[-1]
+        h0 = rng.normal(1.0, 2.0, shape).astype(np.float32)
+        bg0 = rng.normal(0.0, 0.5, (*shape[:-1], 2 * d)).astype(np.float32)
+        g = rng.normal(size=shape).astype(np.float32)
+
+        h, bg = Tensor(h0, requires_grad=True), Tensor(bg0, requires_grad=True)
+        ones, zeros = Tensor(np.ones(d, np.float32)), Tensor(np.zeros(d, np.float32))
+        want = (bg[..., d:] + 1.0) * layer_norm(h, ones, zeros) + bg[..., :d]
+        want.backward(g)
+
+        h2, bg2 = Tensor(h0, requires_grad=True), Tensor(bg0, requires_grad=True)
+        got = adaln(bg2, h2)
+        got.backward(g)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert np.array_equal(bg2.grad, bg.grad) and np.array_equal(h2.grad, h.grad)
+
+    def test_gradcheck_both_parents(self):
+        rng = stream(22, "test-adaln-gc")
+        h = Tensor(rng.normal(size=(2, 3, 6)).astype(np.float32))
+        bg = Tensor(rng.normal(size=(2, 3, 12)).astype(np.float32))
+        w = rng.normal(size=(2, 3, 6))      # so no coordinate's gradient is symmetric
+        assert gradcheck(lambda t: (adaln(t, h) ** 2 * w).sum(), bg, eps=1e-4) < 1e-4
+        assert gradcheck(lambda t: (adaln(bg, t) ** 2 * w).sum(), h, eps=1e-4) < 1e-4
+
+
+class TestAccum:
+    def test_owned_float32_gradient_is_stored_as_is(self):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        g = np.ones((2, 3), np.float32)
+        x._accum(g)
+        assert x.grad is g
+
+    @pytest.mark.parametrize("reduce", [lambda t: t.sum(), lambda t: t.mean(axis=-1)])
+    def test_stride_zero_gradient_is_stored_as_a_contiguous_copy(self, reduce):
+        x = Tensor(np.ones((2, 3, 4)), requires_grad=True)
+        reduce(x).sum().backward()     # the reduction hands back a broadcast view
+        assert x.grad.flags.c_contiguous and x.grad.flags.writeable and x.grad.flags.owndata
+
+    def test_second_gradient_adds_into_a_new_array(self):
+        x = Tensor(np.zeros(3), requires_grad=True)
+        g1, g2 = np.ones(3, np.float32), np.full(3, 2.0, np.float32)
+        x._accum(g1)
+        x._accum(g2)
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0, 3.0])
+        np.testing.assert_array_equal(g1, [1.0, 1.0, 1.0])
+
+
+def test_backward_steps_never_write_into_their_gradient(monkeypatch):
+    # `_accum` may store one array for several parents, so a backward step
+    # must not write into the gradient it is handed: freeze every stored
+    # gradient and run every op and the trainers' graphs
+    from latact import training
+    from latact.models import ModelConfig, build_model
+    from latact.training import _stack_batch, make_config, total_loss, train_a2l
+    from latact.worldgen import DGPSpec, generate_dataset
+
+    accum = Tensor._accum
+
+    def frozen(self, g):
+        accum(self, g)
+        if isinstance(self.grad, np.ndarray):     # numpy scalars are immutable
+            self.grad.flags.writeable = False
+    monkeypatch.setattr(Tensor, "_accum", frozen)
+
+    rng = stream(23, "test-frozen")
+    x = Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
+    gain = Tensor(np.ones(4, np.float32), requires_grad=True)
+    bg = Tensor(rng.normal(size=(3, 8)).astype(np.float32), requires_grad=True)
+    y = layer_norm(x, gain, gain * 0.5) + adaln(bg, x).gelu() - x.reshape(4, 3).reshape(3, 4)
+    y = concat([y, (x * x + 1.0).log(), -x.exp().tanh()], axis=-1)[[0, 2, 0]] ** 2
+    s = reparam_sample(x[1:], x[:2].exp(), rng.normal(size=(2, 4)))
+    loss = (y.mean(axis=0).sum() + y[..., 1:3].sum() + kl_diag_gaussian(s, (s * 0.1).exp())
+            + softmax_cross_entropy(grl(x @ gain[:, None] + x[:, :1], 0.5), np.array([0, 0, 0])))
+    loss.backward()
+
+    dataset = generate_dataset(0, DGPSpec(T=9), m_target=4, source_count=4)
+    for variant in ("scar-kl-grl", "gt-action-baseline"):
+        model = build_model(ModelConfig(d_v=dataset.spec.d_x), stream(0, "test-frozen"),
+                            with_gtcond=variant == "gt-action-baseline")
+        batch = _stack_batch(dataset.episodes, list(range(4)), model.cfg.d_a_max)
+        total_loss(model, batch, make_config(variant), stream(0, "test-frozen-noise"))[0].backward()
+    monkeypatch.setattr(training, "A2L_STEPS", 2)
+    for mode in ({}, {"pointwise": True}, {"ft": True}):
+        model = build_model(ModelConfig(d_v=dataset.spec.d_x), stream(1, "test-frozen"),
+                            with_a2l=True)
+        train_a2l(model, dataset, make_config("shared-latent", seed=0), **mode)
 
 
 def test_matmul_and_broadcast_gradcheck():

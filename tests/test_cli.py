@@ -604,8 +604,27 @@ def test_main_runs_the_command_bound_on_the_module(tmp_path, monkeypatch, capsys
     ("gen", "[dgp]\nT = 1\n", "[dgp] T must be >= 2"),
     ("train", "[model]\nf_hist = 9\n[train]\nsteps = 3\n",
      "[model] f_hist 9 leaves nothing to predict in the 9-step episodes of "),
+    ("train", "[model]\nd_z = 0\n", "[model] d_z must be >= 1, got 0"),
+    ("train", "[model]\nd_c = 0\n", "[model] d_c must be >= 1, got 0"),
+    ("train", "[model]\na2l_memory = 0\n[train]\nsteps = 3\n",
+     "[model] a2l_memory must be >= 1, got 0"),
+    ("train", "[model]\nfdm_hidden = 128,0\n",
+     "[model] fdm_hidden widths must be >= 1, got (128, 0)"),
+    ("train", "[model]\nidm_hidden = 0\n", "[model] idm_hidden widths must be >= 1, got (0,)"),
+    ("train", "[model]\ndisc_hidden = 32,-1\n",
+     "[model] disc_hidden widths must be >= 1, got (32, -1)"),
+    ("train", "[model]\na2l_hidden = 0,64\n[train]\nsteps = 3\n",
+     "[model] a2l_hidden widths must be >= 1, got (0, 64)"),
+    ("gen", "[dgp]\nd_u = 0\n", "[dgp] d_u must be >= 1, got 0"),
+    ("gen", "[dgp]\nd_s = 0\n", "[dgp] d_s must be >= 1, got 0"),
+    ("gen", "[dgp]\nd_x = 0\n", "[dgp] d_x must be >= 1, got 0"),
+    ("gen", "[dgp]\nn_embodiments = 0\n", "[dgp] n_embodiments must be >= 1, got 0"),
+    ("gen", "[dgp]\nframe_size = 0\n", "[dgp] frame_size must be >= 1, got 0"),
+    ("gen", "[dgp]\nlighting_scale = -1\n", "[dgp] lighting_scale must be >= 0, got -1.0"),
 ], ids=["f_hist", "mixing", "target_e", "steps", "batch_episodes", "pretrain_steps",
-        "lr_idm", "wd_fdm", "T", "f_hist_horizon"])
+        "lr_idm", "wd_fdm", "T", "f_hist_horizon", "d_z", "d_c", "a2l_memory", "fdm_hidden",
+        "idm_hidden", "disc_hidden", "a2l_hidden", "d_u", "d_s", "d_x", "n_embodiments",
+        "frame_size", "lighting_scale"])
 def test_unworkable_config_value_refused(workdir, tmp_path, capsys, command, text, words):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(text)

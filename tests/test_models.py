@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from latact import models
-from latact.autodiff import Tensor, gradcheck, layer_norm
+from latact.autodiff import Tensor, concat, gradcheck, layer_norm
 from latact.models import (
     ModelConfig,
     a2l_predict,
@@ -202,6 +202,46 @@ class TestFdm:
             lambda t: (fdm_flow_predict(v, tau, t, model.fdm, v_ctx=ctx) ** 2).sum(),
             c, eps=1e-4)
         assert err_c < 1e-4
+
+
+def _unfused_fdm(v, tau, c, fdm, ctx):
+    """The FDM as a graph of plain ops on (B, F, d): AdaLN as slices of the
+    modulation, an identity-affine layer norm, a product and a sum."""
+    from latact.nn import time_embed
+    zero = Tensor(np.zeros((v.shape[0], 1, v.shape[-1]), F32))
+    ctx_tokens = Tensor(np.broadcast_to(ctx[:, None, :], v.shape))
+    h = concat([v, concat([zero, v[:, :-1, :]], axis=-2), ctx_tokens,
+                Tensor(time_embed(tau, fdm.cfg.time_width))], axis=-1)
+    for (w, b), mod in zip(fdm.layers, fdm.mods):
+        d = mod.hidden_width
+        bg = c @ mod.w + mod.b
+        ln = layer_norm(h @ w + b, Tensor(np.ones(d, F32)), Tensor(np.zeros(d, F32)))
+        h = ((bg[..., d:] + 1.0) * ln + bg[..., :d]).gelu()
+    return h @ fdm.w_out + fdm.b_out
+
+
+def test_fdm_graph_bits_match_the_unfused_graph(cfg):
+    # one fused AdaLN node per block on a (rows, features) matrix gives the
+    # output and the gradients of the plain 3-D graph at the training shape,
+    # bit for bit; the three blocks' gradients reach the conditioning in the
+    # same order. The tokens are data, as in training: the flattened input
+    # gradient of the first block's matmul has other last bits.
+    rng = stream(50, "fdm-bits")
+    B, F = 16, 17
+    v = Tensor(rng.normal(size=(B, F, cfg.d_v)).astype(F32))
+    c0 = rng.normal(size=(B, F, cfg.d_c)).astype(F32)
+    tau = rng.uniform(0, 1, (B, F)).astype(F32)
+    ctx = rng.normal(size=(B, cfg.d_v)).astype(F32)
+    g = rng.normal(size=(B, F, cfg.d_v)).astype(F32)
+    grads = []
+    for predict in (fdm_flow_predict, _unfused_fdm):
+        fdm = build_model(cfg, stream(51, "fdm-bits")).fdm
+        c = Tensor(c0, requires_grad=True)
+        out = predict(v, tau, c, fdm, ctx)
+        out.backward(g)
+        grads.append([out.data, c.grad, *(p.grad for p in fdm.params().values())])
+    for got, want in zip(*grads):
+        assert got.tobytes() == want.tobytes()
 
 
 class TestRollout:
